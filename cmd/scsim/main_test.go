@@ -23,15 +23,15 @@ func TestRunWithOutage(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
-		{},                                       // missing spec
-		{"-scs", "bad"},                          // bad spec
-		{"-scs", "10:8", "-shares", "x"},         // bad shares
-		{"-scs", "10:8", "-horizon", "-5"},       // bad horizon
-		{"-scs", "10:8", "-outage", "0:1"},       // malformed outage
-		{"-scs", "10:8", "-outage", "x:1:2"},     // bad outage sc
-		{"-scs", "10:8", "-outage", "0:x:2"},     // bad outage start
-		{"-scs", "10:8", "-outage", "0:1:x"},     // bad outage duration
-		{"-scs", "10:8", "-shares", "1,2"},       // share length mismatch
+		{},                                   // missing spec
+		{"-scs", "bad"},                      // bad spec
+		{"-scs", "10:8", "-shares", "x"},     // bad shares
+		{"-scs", "10:8", "-horizon", "-5"},   // bad horizon
+		{"-scs", "10:8", "-outage", "0:1"},   // malformed outage
+		{"-scs", "10:8", "-outage", "x:1:2"}, // bad outage sc
+		{"-scs", "10:8", "-outage", "0:x:2"}, // bad outage start
+		{"-scs", "10:8", "-outage", "0:1:x"}, // bad outage duration
+		{"-scs", "10:8", "-shares", "1,2"},   // share length mismatch
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -33,9 +33,9 @@ func TestErrors(t *testing.T) {
 	cases := [][]string{
 		{},
 		{"bogus"},
-		{"gen"},                          // no rate
-		{"gen", "-rate", "-1"},           // bad rate
-		{"gen", "-mmpp", "1:2:3"},        // short mmpp spec
+		{"gen"},                                // no rate
+		{"gen", "-rate", "-1"},                 // bad rate
+		{"gen", "-mmpp", "1:2:3"},              // short mmpp spec
 		{"gen", "-rate", "5", "-batch", "0.2"}, // bad batch
 	}
 	for _, args := range cases {

@@ -14,18 +14,20 @@ type levelSlot struct {
 	inter interactions
 	bl    *markov.Builder
 	work  markov.Workspace
-	// trans merges per-state transition contributions before they reach the
-	// builder (many interaction atoms map to the same destination).
-	trans map[int]float64
+	// acc, hit and touched merge one state's transition contributions
+	// before they reach the builder (see build): the dense per-destination
+	// sums, which destinations the row has touched, and their list.
+	acc     []float64
+	hit     []bool
+	touched []int
 	// peers carries the peer-share vector handed to the interactions.
 	peers []int
 }
 
 func newLevelSlot() *levelSlot {
-	return &levelSlot{
-		bl:    markov.NewBuilder(0),
-		trans: make(map[int]float64, 256),
-	}
+	// A state typically reaches a few dozen destinations; sizing touched
+	// up front spares the first builds their growth steps.
+	return &levelSlot{bl: markov.NewBuilder(0), touched: make([]int, 0, 64)}
 }
 
 // growFloats resizes s to length n, reusing capacity when possible. The

@@ -31,7 +31,11 @@
 //
 // Transient runs are cached per (conditioning group, log-bucketed event
 // duration), which keeps the interaction computation far below the cost of
-// the state-space explosion it replaces (Fig. 8a).
+// the state-space explosion it replaces (Fig. 8a). The uniformization
+// iterates behind them are stepped once per conditioning group and kept by
+// the level they were stepped through, so every consumer of a level —
+// above all SolveAll's readouts, which all read the same last level —
+// shares them.
 //
 // The package is driven through a reusable handle: NewSolver(cfg)
 // validates the configuration once and owns every arena a solve needs

@@ -28,6 +28,11 @@ const tauBucketWidth = 0.4
 // state.
 const relaxationCutoff = 10.0
 
+// maxIterates is the last uniformization iterate a transient mixture reads:
+// the far right tail of a Poisson with mean relaxationCutoff. Later jumps
+// mix in the steady joint.
+var maxIterates = int(relaxationCutoff+6*math.Sqrt(relaxationCutoff)) + 4
+
 // defaultPrune drops negligible atoms from interaction vectors; the
 // remainder is renormalized, so total event rates are preserved.
 const defaultPrune = 1e-6
@@ -57,14 +62,18 @@ type cacheKey struct {
 // The transient analysis is organized around a key linearity: the
 // uniformization iterates v_k = pi^X P^k do not depend on the event
 // duration tau — only the Poisson weights do. Each conditioning group
-// therefore computes its iterates once, collapses every iterate to the
-// small summary space (F, lent, dead, cong), and serves any tau bucket as
-// a Poisson-weighted mixture of those cached summaries.
+// therefore has its iterates stepped once, collapsed to the small summary
+// space (F, lent, dead, cong), and serves any tau bucket as a
+// Poisson-weighted mixture of those summaries. The stepping itself belongs
+// to the previous level (level.stepGroup), which keeps the collapsed
+// iterates in its own cache: every consumer of that level — SolveAll's
+// readouts above all — reuses them and only applies its own shift and
+// truncation here.
 //
 // An interactions value lives inside a levelSlot arena and is recycled via
 // reset: the caches are cleared but their storage (summary-joint pool,
-// iterate buffers, entry slab, merge scratch) survives, so steady-state
-// builds after the first one run nearly allocation-free.
+// entry slab, merge scratch) survives, so steady-state builds after the
+// first one run nearly allocation-free.
 type interactions struct {
 	prev     *level
 	curShare int // S of the SC whose level is being built (marked pool)
@@ -95,26 +104,24 @@ type interactions struct {
 	shiftF, shiftLent float64
 
 	gamma       float64
-	kmax        int
 	steadyJoint []float64
-	groupJoints map[int][][]float64 // g -> J_0..J_kmax (summary joints)
+	groupJoints map[int][][]float64 // g -> J_0..J_maxIterates (summary joints)
 	cache       map[cacheKey][]allocEntry
 
-	// Summary-space strides (see jointIndex).
+	// Summary-space strides (see level.summaryStrides).
 	strideC, strideD, strideL, dim int
 
 	// Arena scratch, reused across resets.
-	jointPool    [][]float64   // summary-joint buffers handed out by nextJoint
-	jointN       int           // jointPool[:jointN] are in use this build
-	jsSlab       [][]float64   // backing storage for groupJoints' iterate lists
-	iterA, iterB []float64     // full-state transient iterate buffers
-	mixBuf       []float64     // Fox-Glynn mixture accumulator
-	accBuf       []float64     // disaggregation accumulator
-	entrySlab    []allocEntry  // backing storage for cached vectors
-	entryScratch []allocEntry  // buildVector assembly buffer
-	entryBuf     []allocEntry  // alloc/clamp result buffer, valid until next alloc
-	lineBuf      []float64     // shiftAxisDown line scratch
-	scratch      []float64     // dense merge buffer reused by clamp
+	jointPool    [][]float64  // summary-joint buffers handed out by nextJoint
+	jointN       int          // jointPool[:jointN] are in use this build
+	jsSlab       [][]float64  // backing storage for groupJoints' iterate lists
+	mixBuf       []float64    // Fox-Glynn mixture accumulator
+	accBuf       []float64    // disaggregation accumulator
+	entrySlab    []allocEntry // backing storage for cached vectors
+	entryScratch []allocEntry // buildVector assembly buffer
+	entryBuf     []allocEntry // alloc/clamp result buffer, valid until next alloc
+	lineBuf      []float64    // shiftAxisDown line scratch
+	scratch      []float64    // dense merge buffer reused by clamp
 	scratchDim   int
 }
 
@@ -148,31 +155,26 @@ func (in *interactions) reset(prev *level, curShare int, peerShares []int, epsil
 		clear(in.groupJoints)
 		clear(in.cache)
 	}
-	in.gamma, in.kmax = 0, 0
+	in.gamma = 0
 	in.steadyJoint = nil
 	in.strideC, in.strideD, in.strideL, in.dim = 0, 0, 0, 0
 	if prev != nil {
 		in.gamma = prev.gamma
-		in.kmax = int(relaxationCutoff+6*math.Sqrt(relaxationCutoff)) + 4
 		in.strideC = 2
-		in.strideD = in.strideC * (prev.share + 1)
-		in.strideL = in.strideD * (prev.share + 1)
-		in.dim = in.strideL * (prev.poolDim + 1)
+		in.strideD, in.strideL, in.dim = prev.summaryStrides()
 		in.steadyJoint = in.summarize(prev.steady)
 	}
 }
 
-// nextJoint hands out a zeroed summary-joint buffer of the current
-// dimension from the pool, growing it on first use. Buffers stay checked
-// out until the next reset (they back groupJoints and steadyJoint).
+// nextJoint hands out a summary-joint buffer of the current dimension from
+// the pool, growing it on first use; its contents are unspecified. Buffers
+// stay checked out until the next reset (they back groupJoints and
+// steadyJoint).
 func (in *interactions) nextJoint() []float64 {
 	var j []float64
 	if in.jointN < len(in.jointPool) {
 		j = growFloats(in.jointPool[in.jointN], in.dim)
 		in.jointPool[in.jointN] = j
-		for i := range j {
-			j[i] = 0
-		}
 	} else {
 		j = make([]float64, in.dim)
 		in.jointPool = append(in.jointPool, j)
@@ -181,12 +183,12 @@ func (in *interactions) nextJoint() []float64 {
 	return j
 }
 
-// nextJS hands out a kmax+1-long iterate list backed by the slab. Earlier
-// lists keep pointing at whatever backing array they were carved from, so
-// slab growth never invalidates them.
+// nextJS hands out a maxIterates+1-long iterate list backed by the slab.
+// Earlier lists keep pointing at whatever backing array they were carved
+// from, so slab growth never invalidates them.
 func (in *interactions) nextJS() [][]float64 {
 	start := len(in.jsSlab)
-	want := start + in.kmax + 1
+	want := start + maxIterates + 1
 	for len(in.jsSlab) < want {
 		in.jsSlab = append(in.jsSlab, nil)
 	}
@@ -227,31 +229,23 @@ func (in *interactions) alloc(lv *level, s, o, a int, tau float64, capAloc, capA
 	return in.clamp(base, capAloc, capArem)
 }
 
-// jointIndex addresses the summary cell of (foreign, lent, dead, cong).
-func (in *interactions) jointIndex(f, lent, dead, cong int) int {
-	return f*in.strideL + lent*in.strideD + dead*in.strideC + cong
+// summarize collapses a full distribution over the previous level's states
+// to a summary joint and finishes it (see finish).
+func (in *interactions) summarize(p []float64) []float64 {
+	out := in.nextJoint()
+	clear(out)
+	in.prev.collapse(out, p)
+	in.finish(out)
+	return out
 }
 
-// summarize collapses a full distribution over the previous level's states
-// to the summary joint, applying the self-exclusion shifts when installed
-// and then the adaptive truncation: cells below the per-cell slice of the
-// truncEps budget are zeroed and the survivors rescaled, so the summary
-// keeps its total mass (event rates are preserved) while the downstream
-// mixing and disaggregation loops skip the dropped support. The discarded
-// mass is recorded in the counter.
-func (in *interactions) summarize(p []float64) []float64 {
-	prev := in.prev
-	out := in.nextJoint()
-	for idx, w := range p {
-		if w == 0 {
-			continue
-		}
-		c := 0
-		if prev.cong[idx] {
-			c = 1
-		}
-		out[in.jointIndex(prev.foreign[idx], prev.lent[idx], prev.dead[idx], c)] += w
-	}
+// finish applies the self-exclusion shifts, when installed, to a collapsed
+// summary joint and then the adaptive truncation: cells below the per-cell
+// slice of the truncEps budget are zeroed and the survivors rescaled, so
+// the summary keeps its total mass (event rates are preserved) while the
+// downstream mixing and disaggregation loops skip the dropped support. The
+// discarded mass is recorded in the counter.
+func (in *interactions) finish(out []float64) {
 	if in.shiftLent > 0 {
 		in.shiftAxisDown(out, in.strideD, in.strideL/in.strideD, in.shiftLent)
 	}
@@ -284,7 +278,6 @@ func (in *interactions) summarize(p []float64) []float64 {
 			in.counter.record(dropped)
 		}
 	}
-	return out
 }
 
 // setSelfExclusion installs the SolveAll readout correction: the previous
@@ -300,9 +293,9 @@ func (in *interactions) summarize(p []float64) []float64 {
 // The groups need the same correction from the other side: a readout
 // level's conditioning aggregate s+a measures the previous level's usage
 // *excluding* what it lent to the readout SC, while prev.groups are indexed
-// by the unshifted lent+o+a. conditionalStart therefore adds the expected
-// self-lending (shiftLent, floored) back before restricting, so the group
-// aggregates line up with the unshifted states the groups index; the
+// by the unshifted lent+o+a. groupIterates therefore adds the expected
+// self-lending (shiftLent, floored) back before resolving the group, so the
+// group aggregates line up with the unshifted states the groups index; the
 // summaries of the selected states then carry the shift.
 func (in *interactions) setSelfExclusion(shiftF, shiftLent float64) {
 	if in.prev == nil {
@@ -349,39 +342,39 @@ func (in *interactions) shiftAxisDown(joint []float64, stride, extent int, shift
 }
 
 // groupIterates returns (building if needed) the summary joints of the
-// uniformization iterates for conditioning group g. Once an iterate has
+// uniformization iterates for conditioning group g: the transient starts
+// from the previous level's steady state restricted to g's resolved group
+// (see level.resolveGroup and restrictInto). On SolveAll readout levels the
+// expected self-lending shiftLent is added back first — floored, because
+// conditioning feeds the lend dynamics back into the aggregate and rounding
+// the bias up overdrives that loop — since the caller's aggregate excludes
+// the readout SC's own borrowing while the groups do not. Under the
+// uncondition ablation every group starts from the steady state itself.
+//
+// The previous level steps each resolved group once and caches the
+// collapsed iterates; this level copies them and finishes each copy with
+// its own shift and truncation, in iterate order. Once an iterate has
 // relaxed to the steady state the remaining slots alias the steady joint.
 func (in *interactions) groupIterates(g int) [][]float64 {
 	if js, ok := in.groupJoints[g]; ok {
 		return js
 	}
 	prev := in.prev
-	n := len(prev.steady)
-	in.iterA = growFloats(in.iterA, n)
-	in.iterB = growFloats(in.iterB, n)
-	v, next := in.iterA[:n], in.iterB[:n]
-	in.conditionalStartInto(v, g)
+	r := -1
+	if !in.uncondition {
+		r = prev.resolveGroup(g + int(in.shiftLent))
+	}
+	first, count := prev.stepGroup(r)
 	js := in.nextJS()
-	js[0] = in.summarize(v)
-	relaxed := false
-	for k := 1; k <= in.kmax; k++ {
-		if relaxed {
+	for k := range js {
+		if k >= count {
 			js[k] = in.steadyJoint
 			continue
 		}
-		if err := prev.uniform.Step(next, v); err != nil {
-			// Cannot happen for matching dimensions; degrade to steady.
-			js[k] = in.steadyJoint
-			relaxed = true
-			continue
-		}
-		v, next = next, v
-		if numeric.L1Diff(v, prev.steady) < steadyRelaxTol {
-			relaxed = true
-			js[k] = in.steadyJoint
-			continue
-		}
-		js[k] = in.summarize(v)
+		out := in.nextJoint()
+		copy(out, prev.iter.joint(first+k))
+		in.finish(out)
+		js[k] = out
 	}
 	in.groupJoints[g] = js
 	return js
@@ -424,7 +417,7 @@ func (in *interactions) buildVector(g int, tau float64) []allocEntry {
 		for k := fg.Left; k <= fg.Right; k++ {
 			w := fg.Weights[k-fg.Left]
 			src := in.steadyJoint
-			if k <= in.kmax {
+			if k <= maxIterates {
 				src = js[k]
 			}
 			for i, x := range src {
@@ -495,70 +488,6 @@ func (in *interactions) buildVector(g int, tau float64) []allocEntry {
 		out[i].p /= total
 	}
 	return in.persist(out)
-}
-
-// conditionalStartInto writes the transient start distribution for
-// conditioning group g into dst (dimensioned to the previous level's state
-// space): the previous level's steady state restricted to the states whose
-// total shared usage equals g (falling back to the nearest non-empty
-// total) and renormalized — the pi^X construction of the paper applied to
-// the observable aggregate. On SolveAll readout levels the expected
-// self-lending shiftLent is added back first — floored, because
-// conditioning feeds the lend dynamics back into the aggregate and rounding
-// the bias up overdrives that loop — since the caller's aggregate excludes
-// the readout SC's own borrowing while the groups do not. Under the
-// uncondition ablation dst is simply a copy of the steady state.
-func (in *interactions) conditionalStartInto(dst []float64, g int) {
-	prev := in.prev
-	if in.uncondition {
-		copy(dst, prev.steady)
-		return
-	}
-	in.groupRestrictionInto(dst, g+int(in.shiftLent))
-}
-
-// groupRestrictionInto is conditionalStartInto's core: restrict the
-// previous level's steady state to usage aggregate g, nearest-neighbor
-// fallback when the group is empty or out of range.
-func (in *interactions) groupRestrictionInto(dst []float64, g int) {
-	prev := in.prev
-	if g < 0 {
-		g = 0
-	}
-	if g >= len(prev.groups) {
-		g = len(prev.groups) - 1
-	}
-	pick := func(gg int) bool {
-		if gg < 0 || gg >= len(prev.groups) {
-			return false
-		}
-		mass := 0.0
-		for _, idx := range prev.groups[gg] {
-			mass += prev.steady[idx]
-		}
-		if mass <= groupMassEps {
-			return false
-		}
-		for i := range dst {
-			dst[i] = 0
-		}
-		for _, idx := range prev.groups[gg] {
-			dst[idx] = prev.steady[idx] / mass
-		}
-		return true
-	}
-	if pick(g) {
-		return
-	}
-	for d := 1; d < len(prev.groups); d++ {
-		if pick(g - d) {
-			return
-		}
-		if pick(g + d) {
-			return
-		}
-	}
-	copy(dst, prev.steady)
 }
 
 // clamp projects an unclamped vector onto the legal region of the current

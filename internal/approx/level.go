@@ -3,9 +3,11 @@ package approx
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"scshare/internal/cloud"
 	"scshare/internal/markov"
+	"scshare/internal/numeric"
 	"scshare/internal/queueing"
 )
 
@@ -43,8 +45,13 @@ type level struct {
 	cong    []bool // does this SC have waiting requests?
 	dead    []int  // share headroom this SC cannot actually lend (no idle VM)
 
-	// groups[g] lists states with total shared usage s+o+a == g.
-	groups [][]int
+	// groups[g] lists states with total shared usage s+o+a == g, and
+	// groupMass[g] is their steady mass, summed in list order.
+	groups    [][]int
+	groupMass []float64
+	// iter caches the stepped transient iterates the next level's
+	// interaction vectors mix (see stepGroup).
+	iter iterateCache
 
 	// forward is the per-state probability that an arrival at this SC is
 	// forwarded to the public cloud, accumulated during assembly.
@@ -86,6 +93,8 @@ func (lv *level) reset(sc cloud.SC, share, pool, poolDim, qcap int) {
 	}
 	sameGrid := lv.oaIdx != nil && lv.poolDim == poolDim
 	lv.sc, lv.share, lv.pool, lv.poolDim, lv.qmax = sc, share, pool, poolDim, qcap
+	_, _, dim := lv.summaryStrides()
+	lv.iter.reset(share+poolDim+1, dim)
 	if sameGrid {
 		return
 	}
@@ -136,10 +145,27 @@ func (sl *levelSlot) build(demand float64, opts markov.SteadyStateOptions) error
 	}
 	lv.demandDriven = inter.prev == nil && demand > 0
 	lambda, mu := lv.sc.ArrivalRate, lv.sc.ServiceRate
-	trans := sl.trans
+	// Per-state contributions merge in a dense per-destination accumulator
+	// (many interaction atoms land on the same destination); touched lists
+	// the row's destinations so the row is emitted in ascending column
+	// order and cleared in O(touched).
+	sl.acc = growFloats(sl.acc, n)
+	acc := sl.acc
+	clear(acc)
+	if cap(sl.hit) < n {
+		sl.hit = make([]bool, n)
+	}
+	hit := sl.hit[:n]
+	clear(hit)
+	touched := sl.touched[:0]
+	add := func(dst int, rate float64) {
+		if !hit[dst] {
+			hit[dst] = true
+			touched = append(touched, dst)
+		}
+		acc[dst] += rate
+	}
 	for idx := 0; idx < n; idx++ {
-		clear(trans)
-		add := func(dst int, rate float64) { trans[dst] += rate }
 		q, s, o, a := lv.decode(idx)
 		// Predecessor allocations can never exceed the VMs this SC's own
 		// in-service requests leave free.
@@ -210,10 +236,14 @@ func (sl *levelSlot) build(demand float64, opts markov.SteadyStateOptions) error
 			}
 		}
 
-		for dst, rate := range trans {
-			bl.Add(idx, dst, rate)
+		slices.Sort(touched)
+		for _, dst := range touched {
+			bl.Add(idx, dst, acc[dst])
+			acc[dst], hit[dst] = 0, false
 		}
+		touched = touched[:0]
 	}
+	sl.touched = touched
 	chain, err := bl.Rebuild(lv.chain)
 	if err != nil {
 		return fmt.Errorf("approx: level for %s: %w", lv.sc.Name, err)
@@ -279,6 +309,14 @@ func (lv *level) summarize() {
 		g := lv.lent[idx] + o + a
 		lv.groups[g] = append(lv.groups[g], idx)
 	}
+	lv.groupMass = growFloats(lv.groupMass, ng)
+	for g, members := range lv.groups {
+		mass := 0.0
+		for _, idx := range members {
+			mass += lv.steady[idx]
+		}
+		lv.groupMass[g] = mass
+	}
 }
 
 // metrics evaluates the paper's performance parameters on this level's
@@ -301,5 +339,172 @@ func (lv *level) metrics() cloud.Metrics {
 		LendRate:    lend,
 		Utilization: busy / float64(lv.sc.VMs),
 		ForwardProb: fwd,
+	}
+}
+
+// summaryStrides returns the flat layout of the summary space (foreign,
+// lent, dead, cong) the next level's interaction vectors read this level
+// through: cell (f, l, d, c) sits at f*strideL + l*strideD + d*2 + c, and
+// dim is the number of cells.
+func (lv *level) summaryStrides() (strideD, strideL, dim int) {
+	strideD = 2 * (lv.share + 1)
+	strideL = strideD * (lv.share + 1)
+	return strideD, strideL, strideL * (lv.poolDim + 1)
+}
+
+// collapse accumulates a distribution over this level's states into the
+// summary joint dst, which the caller has zeroed.
+func (lv *level) collapse(dst, p []float64) {
+	strideD, strideL, _ := lv.summaryStrides()
+	for idx, w := range p {
+		if w == 0 {
+			continue
+		}
+		c := 0
+		if lv.cong[idx] {
+			c = 1
+		}
+		dst[lv.foreign[idx]*strideL+lv.lent[idx]*strideD+lv.dead[idx]*2+c] += w
+	}
+}
+
+// resolveGroup maps a conditioning aggregate to the group whose restriction
+// actually starts the transient: g clamped to the group range, then the
+// nearest group with non-negligible steady mass, lower side first. It
+// returns -1, the unrestricted steady start, when every group is empty.
+func (lv *level) resolveGroup(g int) int {
+	ng := len(lv.groups)
+	g = max(0, min(g, ng-1))
+	usable := func(gg int) bool { return gg >= 0 && gg < ng && lv.groupMass[gg] > groupMassEps }
+	if usable(g) {
+		return g
+	}
+	for d := 1; d < ng; d++ {
+		if usable(g - d) {
+			return g - d
+		}
+		if usable(g + d) {
+			return g + d
+		}
+	}
+	return -1
+}
+
+// restrictInto writes the transient start for resolved group r into dst
+// (dimensioned to the level's state space): the steady state restricted to
+// group r and renormalized — the pi^X construction of the paper applied to
+// the observable aggregate — or the steady state itself for r = -1.
+func (lv *level) restrictInto(dst []float64, r int) {
+	if r < 0 {
+		copy(dst, lv.steady)
+		return
+	}
+	clear(dst)
+	mass := lv.groupMass[r]
+	for _, idx := range lv.groups[r] {
+		dst[idx] = lv.steady[idx] / mass
+	}
+}
+
+// iterateCache holds a solved level's stepped transients: for each
+// resolved conditioning group r (slot r+1; slot 0 is the steady start
+// r = -1), the summary joints of the uniformization iterates
+// v_k = pi^X P^k up to the first that has relaxed to the steady state. The
+// joints are collapsed but neither shifted nor truncated, so every reader —
+// the next chain level, or any SolveAll readout whatever its
+// self-exclusion shift — copies them and applies its own shift and
+// truncation. The cache belongs to the level: reset empties it while the
+// slab keeps its storage across builds.
+type iterateCache struct {
+	spans []iterSpan // per group, slot r+1 for group r
+	slab  []float64  // stored joints, dim floats each
+	dim   int
+	// iterA and iterB are the full-state iterate buffers stepping runs in.
+	iterA, iterB []float64
+}
+
+// iterSpan locates one group's stored iterates: first is the slab position
+// of iterate 0 (-1 until the group is stepped) and count how many are
+// stored, later ones having relaxed.
+type iterSpan struct{ first, count int }
+
+// reset empties the cache for a level with ng conditioning groups and
+// dim-cell summary joints.
+func (c *iterateCache) reset(ng, dim int) {
+	if cap(c.spans) < ng+1 {
+		c.spans = make([]iterSpan, ng+1)
+	}
+	c.spans = c.spans[:ng+1]
+	for i := range c.spans {
+		c.spans[i] = iterSpan{first: -1}
+	}
+	c.slab = c.slab[:0]
+	c.dim = dim
+}
+
+// joint returns the stored joint at slab position i.
+func (c *iterateCache) joint(i int) []float64 {
+	return c.slab[i*c.dim : (i+1)*c.dim]
+}
+
+// stepGroup returns the slab position and count of resolved group r's
+// stored iterates, stepping the transient from the group's restriction
+// through the level's uniformized chain on first request. Iterates from
+// index count on have relaxed: their L1 distance to the steady state fell
+// below steadyRelaxTol (further stepping would only accumulate rounding),
+// and readers substitute the steady joint.
+func (lv *level) stepGroup(r int) (first, count int) {
+	c := &lv.iter
+	if sp := c.spans[r+1]; sp.first >= 0 {
+		return sp.first, sp.count
+	}
+	n := len(lv.steady)
+	c.iterA = growFloats(c.iterA, n)
+	c.iterB = growFloats(c.iterB, n)
+	v, next := c.iterA[:n], c.iterB[:n]
+	lv.restrictInto(v, r)
+	first = len(c.slab) / c.dim
+	for k := 0; k <= maxIterates; k++ {
+		if k > 0 {
+			if err := lv.uniform.Step(next, v); err != nil {
+				break // cannot happen for matching dimensions; degrade to steady
+			}
+			v, next = next, v
+			if numeric.L1Diff(v, lv.steady) < steadyRelaxTol {
+				break
+			}
+		}
+		start := len(c.slab)
+		if cap(c.slab)-start < c.dim {
+			// Room for a whole group at once keeps first-use growth to a
+			// few reallocations.
+			c.slab = slices.Grow(c.slab, (maxIterates+1)*c.dim)
+		}
+		c.slab = c.slab[:start+c.dim]
+		j := c.slab[start:]
+		clear(j)
+		lv.collapse(j, v)
+		count++
+	}
+	c.spans[r+1] = iterSpan{first: first, count: count}
+	return first, count
+}
+
+// stepAllGroups steps every group a successor can resolve to — each group
+// with non-negligible mass, or only the steady start when unconditioned or
+// when every group is empty — so that concurrent readers (SolveAll's
+// readout workers) find every entry present and only ever read the cache.
+func (lv *level) stepAllGroups(uncondition bool) {
+	stepped := false
+	if !uncondition {
+		for r, mass := range lv.groupMass {
+			if mass > groupMassEps {
+				lv.stepGroup(r)
+				stepped = true
+			}
+		}
+	}
+	if !stepped {
+		lv.stepGroup(-1)
 	}
 }

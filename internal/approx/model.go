@@ -399,6 +399,10 @@ func (s *Solver) SolveAll(opts ...SolveOption) ([]cloud.Metrics, error) {
 	if workers > k-1 {
 		workers = k - 1
 	}
+	// Every readout conditions on the same last level, so its transients
+	// are stepped once here, before the rounds fan out; the readouts only
+	// read them (see level.stepGroup).
+	last.stepAllGroups(s.cfg.Uncondition)
 	for round := 0; round < maxReadoutRounds; round++ {
 		var moved bool
 		var err error

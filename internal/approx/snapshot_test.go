@@ -56,12 +56,12 @@ func TestWarmDumpImportGuards(t *testing.T) {
 	n, err := w.Import(WarmDump{
 		Version: WarmDumpVersion,
 		Entries: []WarmEntry{
-			{K: 2, Target: 0, SC: 0, States: 0, Pi: nil},                        // no states
-			{K: 2, Target: 0, SC: 0, States: 3, Pi: []float64{0.5, 0.5}},        // wrong length
-			{K: 2, Target: 0, SC: 1, States: 2, Pi: []float64{math.NaN(), 1}},   // NaN
-			{K: 2, Target: 0, SC: 2, States: 2, Pi: []float64{math.Inf(1), 0}},  // Inf
-			{K: 2, Target: 0, SC: 3, States: 2, Pi: []float64{-0.1, 1.1}},       // negative
-			{K: 2, Target: 1, SC: 0, States: 2, Pi: []float64{0.4, 0.6}},        // good
+			{K: 2, Target: 0, SC: 0, States: 0, Pi: nil},                       // no states
+			{K: 2, Target: 0, SC: 0, States: 3, Pi: []float64{0.5, 0.5}},       // wrong length
+			{K: 2, Target: 0, SC: 1, States: 2, Pi: []float64{math.NaN(), 1}},  // NaN
+			{K: 2, Target: 0, SC: 2, States: 2, Pi: []float64{math.Inf(1), 0}}, // Inf
+			{K: 2, Target: 0, SC: 3, States: 2, Pi: []float64{-0.1, 1.1}},      // negative
+			{K: 2, Target: 1, SC: 0, States: 2, Pi: []float64{0.4, 0.6}},       // good
 		},
 	})
 	if err != nil {

@@ -203,8 +203,9 @@ func (f *Framework) SweepContext(ctx context.Context, ratios, alphas []float64, 
 		// parallel. Points then run almost entirely on cache hits. Prime
 		// trades total work for wall clock (it may evaluate vectors no
 		// search visits), so it only pays off with real cores behind the
-		// pool — on a single CPU the extra work is pure slowdown.
-		we.Prime(f.cfg.MaxShares, workers)
+		// pool — on a single CPU the extra work is pure slowdown. It
+		// observes ctx, so a canceled sweep stops enumerating at once.
+		we.Prime(ctx, f.cfg.MaxShares, workers)
 	}
 	if workers > n {
 		workers = n

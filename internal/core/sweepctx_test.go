@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
+	"scshare/internal/approx"
 	"scshare/internal/market"
 )
 
@@ -61,6 +64,50 @@ func TestSweepContextCancelMidSweep(t *testing.T) {
 			t.Fatalf("workers=%d: %d points streamed after first-point cancel", workers, streamed)
 		}
 		cancel()
+	}
+}
+
+// TestSweepContextCancelDuringPrime: canceling while Prime enumerates the
+// strategy box must stop the enumeration itself, not only the grid behind
+// it. The context is canceled once the first box vector is solved; the
+// sweep must return context.Canceled with only the vectors then in flight
+// solved, not the whole 64-vector box.
+func TestSweepContextCancelDuringPrime(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("Prime only runs with two or more CPUs")
+	}
+	const workers = 2
+	f, err := New(Config{
+		Federation: fig7aFed(),
+		Model:      ModelApprox,
+		Gamma:      market.UF0,
+		MaxShares:  []int{3, 3, 3},
+		Approx:     approx.Config{Passes: 1, Prune: 1e-4, PoolCap: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := f.Evaluator().(market.CacheStatsReporter)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for rep.Stats().Misses == 0 {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+			}
+		}
+		cancel()
+	}()
+	pts, err := f.SweepContext(ctx, []float64{0.3, 0.6}, []float64{market.AlphaUtilitarian}, nil, SweepOptions{Workers: workers})
+	if pts != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("SweepContext = (%v, %v); want nil points wrapping context.Canceled", pts, err)
+	}
+	if got := rep.Stats().Misses; got > 2*workers {
+		t.Fatalf("canceled sweep solved %d of the 64 box vectors; want only those in flight", got)
 	}
 }
 

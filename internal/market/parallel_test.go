@@ -15,6 +15,10 @@ import (
 type countingAllEvaluator struct {
 	fed    cloud.Federation
 	solves atomic.Int64
+	// started and release, when set, park every solve: the vector is
+	// announced on started, then the solve waits until release is closed.
+	started chan []int
+	release chan struct{}
 }
 
 func (ev *countingAllEvaluator) Evaluate(shares []int, target int) (cloud.Metrics, error) {
@@ -27,6 +31,10 @@ func (ev *countingAllEvaluator) Evaluate(shares []int, target int) (cloud.Metric
 
 func (ev *countingAllEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
 	ev.solves.Add(1)
+	if ev.started != nil {
+		ev.started <- append([]int(nil), shares...)
+		<-ev.release
+	}
 	out := make([]cloud.Metrics, len(shares))
 	for i, s := range shares {
 		out[i] = cloud.Metrics{Utilization: float64(s) + float64(i)/10}

@@ -1,8 +1,10 @@
 package market
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"scshare/internal/cloud"
@@ -109,11 +111,16 @@ const primeCap = 1024
 // alpha) empirical-max search of a sweep, where the lazy coordinate ascents
 // would discover the same vectors one at a time on the critical path. The
 // pass may evaluate vectors no search visits — acceptable for a batch
-// driver trading total work for wall clock. It is a no-op when the box
-// exceeds primeCap or fewer than two workers are available; evaluation
-// errors are skipped, left for the lazy path to surface if a search visits
-// the offending vector. A nil maxShares means each SC's full VM count.
-func (we *WelfareEvaluator) Prime(maxShares []int, workers int) {
+// driver trading total work for wall clock. Vectors are dispatched
+// longest-first (see primeOrder), so the costliest solves start while the
+// whole pool is still busy instead of trailing alone at the end.
+//
+// It is a no-op when the box exceeds primeCap or fewer than two workers
+// are available; evaluation errors are skipped, left for the lazy path to
+// surface if a search visits the offending vector. Once ctx is done no
+// further vector is dispatched: Prime returns as soon as the solves
+// already in flight finish. A nil maxShares means each SC's full VM count.
+func (we *WelfareEvaluator) Prime(ctx context.Context, maxShares []int, workers int) {
 	k := len(we.fed.SCs)
 	if maxShares == nil {
 		maxShares = make([]int, k)
@@ -148,24 +155,64 @@ func (we *WelfareEvaluator) Prime(maxShares []int, workers int) {
 			}
 		}()
 	}
-	// Odometer walk over the box, lowest index fastest.
-	shares := make([]int, k)
+	for _, shares := range primeOrder(maxShares) {
+		// Checked before every send: a select with both cases ready picks
+		// at random, and a canceled Prime must not hand out more work.
+		if ctx.Err() != nil {
+			break
+		}
+		select {
+		case next <- shares:
+		case <-ctx.Done():
+		}
+	}
+	close(next)
+	wg.Wait()
+}
+
+// primeOrder lists the maxShares box longest-first: vectors with more
+// participants (S_i > 0) first — each participant adds a hierarchy level —
+// then larger share totals, whose levels span larger state spaces; ties
+// keep odometer order (lowest index fastest). Every key is read from the
+// vector itself, so the order is fixed by the box alone.
+func primeOrder(maxShares []int) [][]int {
+	var box [][]int
+	shares := make([]int, len(maxShares))
 	for {
-		next <- append([]int(nil), shares...)
+		box = append(box, append([]int(nil), shares...))
 		i := 0
-		for ; i < k; i++ {
+		for ; i < len(shares); i++ {
 			shares[i]++
 			if shares[i] <= maxShares[i] {
 				break
 			}
 			shares[i] = 0
 		}
-		if i == k {
+		if i == len(shares) {
 			break
 		}
 	}
-	close(next)
-	wg.Wait()
+	slices.SortStableFunc(box, func(a, b []int) int {
+		pa, ta := primeCost(a)
+		pb, tb := primeCost(b)
+		if pa != pb {
+			return pb - pa
+		}
+		return tb - ta
+	})
+	return box
+}
+
+// primeCost returns a share vector's participant count and share total,
+// the two keys of primeOrder.
+func primeCost(shares []int) (participants, total int) {
+	for _, s := range shares {
+		if s > 0 {
+			participants++
+		}
+		total += s
+	}
+	return participants, total
 }
 
 // UtilitiesAt returns every SC's Eq. (2) utility under the sharing vector

@@ -89,7 +89,7 @@ func TestCacheDumpImportGuards(t *testing.T) {
 	n, err := ev.ImportCache(CacheDump{
 		Version: CacheDumpVersion,
 		Targets: []TargetEntry{
-			{Key: "", Metrics: cloud.Metrics{}},                         // empty key
+			{Key: "", Metrics: cloud.Metrics{}},                          // empty key
 			{Key: "1,0", Metrics: cloud.Metrics{PublicRate: math.NaN()}}, // poisoned
 			{Key: "2,0", Metrics: cloud.Metrics{PublicRate: math.Inf(1)}},
 			{Key: "3,0", Metrics: cloud.Metrics{PublicRate: 7}}, // the one good entry

@@ -5,9 +5,12 @@ package market
 // whole-vector fast path, and the lock-free participation baselines.
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"scshare/internal/cloud"
 )
@@ -228,12 +231,12 @@ func TestPrimePopulatesVectorCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	we.Prime([]int{1, 1, 1}, 4)
+	we.Prime(context.Background(), []int{1, 1, 1}, 4)
 	if got := inner.solves.Load(); got != 8 {
 		t.Fatalf("priming a 2x2x2 box took %d solves, want 8", got)
 	}
 	// Re-priming the same box must be all cache hits.
-	we.Prime([]int{1, 1, 1}, 4)
+	we.Prime(context.Background(), []int{1, 1, 1}, 4)
 	if got := inner.solves.Load(); got != 8 {
 		t.Fatalf("re-priming solved again: %d solves", got)
 	}
@@ -270,19 +273,90 @@ func TestPrimePopulatesVectorCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	web.Prime([]int{15, 15, 15}, 4)
+	web.Prime(context.Background(), []int{15, 15, 15}, 4)
 	if got := big.solves.Load(); got != 0 {
 		t.Fatalf("oversized box still primed: %d solves", got)
 	}
 	// ...and so is a single-worker pool: serial priming is the lazy path
 	// with extra steps.
-	web.Prime([]int{1, 1, 1}, 1)
+	web.Prime(context.Background(), []int{1, 1, 1}, 1)
 	if got := big.solves.Load(); got != 0 {
 		t.Fatalf("single-worker prime ran: %d solves", got)
 	}
 	// A nil box defaults to each SC's full VM count: 7*6*5 vectors.
-	web.Prime(nil, 4)
+	web.Prime(context.Background(), nil, 4)
 	if got := big.solves.Load(); got != 210 {
 		t.Fatalf("nil box primed %d vectors, want 210", got)
+	}
+}
+
+// TestPrimeStopsOnCancel: a canceled Prime must stop dispatching the box.
+// Every worker is parked inside a solve when the context is canceled, so
+// exactly those solves may complete — never the rest of the 27-vector box.
+func TestPrimeStopsOnCancel(t *testing.T) {
+	fed := testFederation()
+	// started holds one announcement per box vector, so no solve ever
+	// blocks on it.
+	inner := &countingAllEvaluator{fed: fed, started: make(chan []int, 27), release: make(chan struct{})}
+	we, err := NewWelfareEvaluator(fed, inner, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const workers = 2
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		we.Prime(ctx, []int{2, 2, 2}, workers)
+	}()
+	for i := 0; i < workers; i++ {
+		<-inner.started
+	}
+	cancel()
+	close(inner.release)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Prime did not return after cancellation")
+	}
+	if got := inner.solves.Load(); got > workers {
+		t.Fatalf("canceled Prime solved %d vectors, want at most the %d in flight", got, workers)
+	}
+}
+
+// TestPrimeOrderLongestFirst pins Prime's dispatch order: the whole box,
+// each vector once, by participant count and then share total, both
+// descending, with ties in odometer order (lowest index fastest).
+func TestPrimeOrderLongestFirst(t *testing.T) {
+	box := primeOrder([]int{2, 2, 2})
+	if len(box) != 27 {
+		t.Fatalf("box has %d vectors, want 27", len(box))
+	}
+	head := [][]int{{2, 2, 2}, {2, 2, 1}, {2, 1, 2}, {1, 2, 2}, {2, 1, 1}, {1, 2, 1}, {1, 1, 2}, {1, 1, 1}, {2, 2, 0}}
+	for i, want := range head {
+		if !slices.Equal(box[i], want) {
+			t.Fatalf("dispatch %d is %v, want %v (order %v)", i, box[i], want, box[:len(head)])
+		}
+	}
+	if last := box[len(box)-1]; !slices.Equal(last, []int{0, 0, 0}) {
+		t.Fatalf("last dispatch is %v, want the empty vector", last)
+	}
+	seen := map[[3]int]bool{}
+	odometer := func(v []int) int { return v[0] + 3*v[1] + 9*v[2] }
+	for i, v := range box {
+		key := [3]int{v[0], v[1], v[2]}
+		if seen[key] {
+			t.Fatalf("vector %v dispatched twice", v)
+		}
+		seen[key] = true
+		if i == 0 {
+			continue
+		}
+		pp, pt := primeCost(box[i-1])
+		p, tot := primeCost(v)
+		if p > pp || (p == pp && tot > pt) || (p == pp && tot == pt && odometer(v) < odometer(box[i-1])) {
+			t.Fatalf("dispatch %d (%v) out of order after %v", i, v, box[i-1])
+		}
 	}
 }

@@ -143,17 +143,17 @@ func (h HyperExp2) Sample(rng *rand.Rand) float64 {
 	return rng.ExpFloat64() / h.Rate2
 }
 
+// fitBoundaryTol absorbs rounding error at the boundaries of the
+// two-moment fit: SCVs this close to 1 are treated as exponential, and
+// mixing probabilities this far below 0 are clamped to a pure Erlang.
+const fitBoundaryTol = 1e-12
+
 // FitTwoMoment returns a phase-type distribution matching the given mean
 // and squared coefficient of variation exactly:
 //
 //   - SCV == 1: exponential;
 //   - SCV in (0, 1): mixed Erlang (the standard minimal-phase fit);
 //   - SCV > 1: balanced-means two-branch hyperexponential.
-// fitBoundaryTol absorbs rounding error at the boundaries of the
-// two-moment fit: SCVs this close to 1 are treated as exponential, and
-// mixing probabilities this far below 0 are clamped to a pure Erlang.
-const fitBoundaryTol = 1e-12
-
 func FitTwoMoment(mean, scv float64) (Distribution, error) {
 	if mean <= 0 || scv <= 0 || math.IsNaN(mean) || math.IsNaN(scv) {
 		return nil, fmt.Errorf("%w: mean=%v scv=%v", ErrBadMoments, mean, scv)

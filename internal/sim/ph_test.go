@@ -18,7 +18,7 @@ func TestPHModelMatchesSimulator(t *testing.T) {
 	}
 	sc := cloud.SC{Name: "ph", VMs: 10, ArrivalRate: 8, ServiceRate: 1, SLA: 0.2, PublicPrice: 1}
 	dists := []phasetype.Distribution{
-		phasetype.Erlang{K: 3, Rate: 3}, // SCV 1/3, mean 1
+		phasetype.Erlang{K: 3, Rate: 3},                              // SCV 1/3, mean 1
 		phasetype.HyperExp2{P: 0.8873, Rate1: 1.7746, Rate2: 0.2254}, // SCV ~4, mean 1
 	}
 	for _, d := range dists {

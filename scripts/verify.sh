@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # verify.sh — the full pre-PR gate, one command away:
 #
-#   ./scripts/verify.sh          # build + vet + race tests + scvet
+#   ./scripts/verify.sh          # build + vet + gofmt + race tests + scvet
 #   ./scripts/verify.sh -short   # same, with -short tests (skips the
 #                                # whole-module self-analysis test)
 #
@@ -21,6 +21,17 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+# gofmt gate over every tracked Go file. The scvet fixtures under
+# internal/analysis/testdata are exempt: they are analyzer inputs, kept as
+# their golden expectations were written.
+echo "==> gofmt -l"
+unformatted=$(git ls-files -z '*.go' | grep -zv '^internal/analysis/testdata/' | xargs -0 gofmt -l)
+if [[ -n "$unformatted" ]]; then
+    echo "verify: files need gofmt:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 # The race-instrumented approx suite outgrew go test's default 10m
 # per-package timeout; give the full gate headroom.
