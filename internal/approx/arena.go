@@ -20,6 +20,9 @@ type levelSlot struct {
 	acc     []float64
 	hit     []bool
 	touched []int
+	// locSlot[l] and remSlot[o] are the interactions' tauSlots of the l
+	// local and o remote departure rates.
+	locSlot, remSlot []int
 	// peers carries the peer-share vector handed to the interactions.
 	peers []int
 }

@@ -37,6 +37,15 @@
 // above all SolveAll's readouts, which all read the same last level —
 // shares them.
 //
+// Generator assembly computes nothing twice within a level build. Each
+// event rate (arrivals, l local and o remote departures) is bucketed once;
+// the Fox-Glynn weights of a bucket serve every group; the vector clamped
+// to a state's legal region is kept per (group, bucket, capAloc, capArem);
+// and P^NF is tabulated over (q, a_loc, o). Rows reach the generator
+// builder in ascending column order, which lets sparse skip its sort.
+// None of this changes a floating-point operation: the generators, and so
+// every metric, are bit-identical to computing each value per state.
+//
 // The package is driven through a reusable handle: NewSolver(cfg)
 // validates the configuration once and owns every arena a solve needs
 // (level state, generator builders, solver workspaces, interaction

@@ -55,6 +55,12 @@ type cacheKey struct {
 	bucket int
 }
 
+// foxGlynnMemo is one build's Poisson weights for one duration bucket.
+type foxGlynnMemo struct {
+	bucket int
+	fg     numeric.FoxGlynn
+}
+
 // interactions produces the P^A / P^D_loc / P^D_rem vectors of one level
 // from the solved previous level. A nil prev represents M^1, which has no
 // predecessors: the vectors collapse to the point mass (0, 0, idle).
@@ -107,6 +113,18 @@ type interactions struct {
 	steadyJoint []float64
 	groupJoints map[int][][]float64 // g -> J_0..J_maxIterates (summary joints)
 	cache       map[cacheKey][]allocEntry
+	// foxGlynn holds the Poisson weights of every bucket mixed so far: gamma
+	// is fixed for the build, so each bucket's weights are computed once
+	// and serve every group.
+	foxGlynn []foxGlynnMemo
+
+	// The clamped-vector memo of the level under construction (see
+	// startMemo): buckets lists the distinct tau-buckets of its event
+	// rates, and memo holds the clamped vector of each (group, bucket
+	// slot, capAloc, capArem), nil until first requested.
+	buckets                       []int
+	memo                          [][]allocEntry
+	memoSlots, memoAloc, memoArem int // bucket-slot, capAloc and capArem extents
 
 	// Summary-space strides (see level.summaryStrides).
 	strideC, strideD, strideL, dim int
@@ -119,7 +137,7 @@ type interactions struct {
 	accBuf       []float64    // disaggregation accumulator
 	entrySlab    []allocEntry // backing storage for cached vectors
 	entryScratch []allocEntry // buildVector assembly buffer
-	entryBuf     []allocEntry // alloc/clamp result buffer, valid until next alloc
+	entryBuf     []allocEntry // clamp assembly buffer and preserveS result
 	lineBuf      []float64    // shiftAxisDown line scratch
 	scratch      []float64    // dense merge buffer reused by clamp
 	scratchDim   int
@@ -148,6 +166,8 @@ func (in *interactions) reset(prev *level, curShare int, peerShares []int, epsil
 	in.jointN = 0
 	in.jsSlab = in.jsSlab[:0]
 	in.entrySlab = in.entrySlab[:0]
+	in.foxGlynn = in.foxGlynn[:0]
+	in.buckets = in.buckets[:0]
 	if in.groupJoints == nil {
 		in.groupJoints = make(map[int][][]float64)
 		in.cache = make(map[cacheKey][]allocEntry)
@@ -205,19 +225,53 @@ func (in *interactions) persist(src []allocEntry) []allocEntry {
 
 var pointMass = []allocEntry{{p: 1}}
 
+// tauSlot registers the tau-bucket of an event occurring at the given total
+// rate — its mean inter-event duration 1/rate, log-quantized — with the
+// clamped-vector memo and returns its slot. The level build registers
+// every event rate of the level before startMemo and then hands the slots
+// to alloc, so no state recomputes a bucket.
+func (in *interactions) tauSlot(rate float64) int {
+	b := int(math.Round(math.Log(1/rate) / tauBucketWidth))
+	for slot, x := range in.buckets {
+		if x == b {
+			return slot
+		}
+	}
+	in.buckets = append(in.buckets, b)
+	return len(in.buckets) - 1
+}
+
+// startMemo sizes the clamped-vector memo for a level whose conditioning
+// groups, capAloc and capArem range over [0, share+poolDim], [0, share] and
+// [0, poolDim], once every event rate has its tauSlot. A predecessor-less
+// level never consults the memo.
+func (in *interactions) startMemo(share, poolDim int) {
+	if in.prev == nil {
+		return
+	}
+	in.memoSlots, in.memoAloc, in.memoArem = len(in.buckets), share+1, poolDim+1
+	n := (share + poolDim + 1) * in.memoSlots * in.memoAloc * in.memoArem
+	if cap(in.memo) < n {
+		in.memo = make([][]allocEntry, n)
+	}
+	in.memo = in.memo[:n]
+	clear(in.memo)
+}
+
 // alloc returns the interaction vector for a state of the level under
-// construction: the current allocations (s, o, a), the mean inter-event
-// duration tau, and the state's legality clamps (aloc <= capAloc, arem <=
-// capArem). The conditioning group is s+a — the previous level's usage as
-// visible from a chain level — plus, on readout levels, the share of the
-// current o that the previous SC's own lent count carries (see
-// setSelfExclusion). Without predecessors the current allocations are
-// preserved: they belong to the successor-demand process, which has its
-// own explicit transitions.
+// construction: the current allocations s and a, the tauSlot of the event's
+// rate, and the state's legality clamps (aloc <= capAloc, arem <= capArem).
+// The conditioning group is s+a — the previous level's usage as visible
+// from a chain level — plus, on readout levels, the share of the current o
+// that the previous SC's own lent count carries (see setSelfExclusion).
+// Without predecessors the current allocations are preserved: they belong
+// to the successor-demand process, which has its own explicit transitions.
 //
-// The returned slice is the interactions' result buffer: it is valid until
-// the next alloc call and must be consumed before then.
-func (in *interactions) alloc(lv *level, s, o, a int, tau float64, capAloc, capArem int) []allocEntry {
+// Clamped vectors are memoized per (group, bucket, capAloc, capArem) and
+// persisted in the entry slab, where they stay valid until reset. Only the
+// predecessor-less preserveS vector lives in the result buffer, valid until
+// the next alloc call.
+func (in *interactions) alloc(s, a, slot, capAloc, capArem int) []allocEntry {
 	if in.prev == nil {
 		if in.preserveS {
 			in.entryBuf = append(in.entryBuf[:0], allocEntry{aloc: min(s, capAloc), p: 1})
@@ -225,8 +279,15 @@ func (in *interactions) alloc(lv *level, s, o, a int, tau float64, capAloc, capA
 		}
 		return pointMass
 	}
-	base := in.lookup(s+a, tau)
-	return in.clamp(base, capAloc, capArem)
+	capAloc, capArem = max(capAloc, 0), max(capArem, 0)
+	g := s + a
+	i := ((g*in.memoSlots+slot)*in.memoAloc+capAloc)*in.memoArem + capArem
+	if v := in.memo[i]; v != nil {
+		return v
+	}
+	v := in.persist(in.clamp(in.lookup(g, in.buckets[slot]), capAloc, capArem))
+	in.memo[i] = v
+	return v
 }
 
 // summarize collapses a full distribution over the previous level's states
@@ -380,25 +441,39 @@ func (in *interactions) groupIterates(g int) [][]float64 {
 	return js
 }
 
-// lookup returns (building if needed) the interaction vector for the
-// conditioning group and duration bucket.
-func (in *interactions) lookup(g int, tau float64) []allocEntry {
-	bucket := int(math.Round(math.Log(tau) / tauBucketWidth))
+// lookup returns (building if needed) the unclamped interaction vector for
+// the conditioning group and duration bucket.
+func (in *interactions) lookup(g, bucket int) []allocEntry {
 	key := cacheKey{group: g, bucket: bucket}
 	if v, ok := in.cache[key]; ok {
 		return v
 	}
-	v := in.buildVector(g, math.Exp(float64(bucket)*tauBucketWidth))
+	v := in.buildVector(g, bucket)
 	in.cache[key] = v
 	return v
 }
 
+// foxGlynnFor returns the Poisson(jumps) weights of a duration bucket,
+// computing them on the bucket's first use in this build.
+func (in *interactions) foxGlynnFor(bucket int, jumps float64) numeric.FoxGlynn {
+	for _, m := range in.foxGlynn {
+		if m.bucket == bucket {
+			return m.fg
+		}
+	}
+	fg := numeric.NewFoxGlynn(jumps, in.epsilon)
+	in.foxGlynn = append(in.foxGlynn, foxGlynnMemo{bucket: bucket, fg: fg})
+	return fg
+}
+
 // buildVector mixes the cached iterate summaries with Poisson(gamma*tau)
-// weights and disaggregates the result into interaction atoms. The returned
-// vector is persisted in the entry slab (or is the shared point mass), so
-// it stays valid for the cache while the assembly buffers are reused.
-func (in *interactions) buildVector(g int, tau float64) []allocEntry {
+// weights, tau being the bucket's representative duration, and
+// disaggregates the result into interaction atoms. The returned vector is
+// persisted in the entry slab (or is the shared point mass), so it stays
+// valid for the cache while the assembly buffers are reused.
+func (in *interactions) buildVector(g, bucket int) []allocEntry {
 	prev := in.prev
+	tau := math.Exp(float64(bucket) * tauBucketWidth)
 	jumps := in.gamma * tau
 	var joint []float64
 	switch {
@@ -408,7 +483,7 @@ func (in *interactions) buildVector(g int, tau float64) []allocEntry {
 		joint = in.groupIterates(g)[0]
 	default:
 		js := in.groupIterates(g)
-		fg := numeric.NewFoxGlynn(jumps, in.epsilon)
+		fg := in.foxGlynnFor(bucket, jumps)
 		in.mixBuf = growFloats(in.mixBuf, in.dim)
 		mixed := in.mixBuf[:in.dim]
 		for i := range mixed {
@@ -490,16 +565,10 @@ func (in *interactions) buildVector(g int, tau float64) []allocEntry {
 	return in.persist(out)
 }
 
-// clamp projects an unclamped vector onto the legal region of the current
-// state, merging atoms that collide after clamping. The result lives in the
-// interactions' result buffer, valid until the next alloc call.
+// clamp projects an unclamped vector onto the legal region capAloc, capArem
+// >= 0, merging atoms that collide after clamping. The result lives in the
+// interactions' assembly buffer until alloc persists it.
 func (in *interactions) clamp(base []allocEntry, capAloc, capArem int) []allocEntry {
-	if capAloc < 0 {
-		capAloc = 0
-	}
-	if capArem < 0 {
-		capArem = 0
-	}
 	maxDead := in.prev.share
 	strideC := 2
 	strideD := strideC * (maxDead + 1)

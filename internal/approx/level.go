@@ -30,6 +30,10 @@ type level struct {
 	oaIdx  [][]int
 	oaList [][2]int
 
+	// pnf memoizes pNoForward over (q, aloc, o) for one build; NaN marks an
+	// entry not yet computed.
+	pnf []float64
+
 	chain   *markov.CTMC
 	uniform *markov.DTMC // uniformized chain reused by interaction iterates
 	gamma   float64      // uniformization rate of uniform
@@ -120,10 +124,17 @@ func (lv *level) reset(sc cloud.SC, share, pool, poolDim, qcap int) {
 // pNoForward is the SLA admission probability for an arrival at this SC
 // when it commands V = N - s + o servers and has q + o requests in its
 // system (the excess q - (N - s) is exactly the q' of the paper's
-// performance-parameter formulas).
+// performance-parameter formulas). Many states share a (q, s, o), so each
+// value is computed once per build into the pnf table.
 func (lv *level) pNoForward(q, s, o int) float64 {
+	i := (q*(lv.share+1)+s)*(lv.poolDim+1) + o
+	if p := lv.pnf[i]; !math.IsNaN(p) {
+		return p
+	}
 	v := lv.sc.VMs - s + o
-	return queueing.PNoForward(q+o, v, lv.sc.ServiceRate, lv.sc.SLA)
+	p := queueing.PNoForward(q+o, v, lv.sc.ServiceRate, lv.sc.SLA)
+	lv.pnf[i] = p
+	return p
 }
 
 // build assembles the generator of the slot's level from the predecessor
@@ -143,8 +154,24 @@ func (sl *levelSlot) build(demand float64, opts markov.SteadyStateOptions) error
 	for i := range lv.forward {
 		lv.forward[i] = 0
 	}
+	lv.pnf = growFloats(lv.pnf, (lv.qmax+1)*(lv.share+1)*(lv.poolDim+1))
+	for i := range lv.pnf {
+		lv.pnf[i] = math.NaN()
+	}
 	lv.demandDriven = inter.prev == nil && demand > 0
 	lambda, mu := lv.sc.ArrivalRate, lv.sc.ServiceRate
+	// Every event rate of the level — arrivals, l local and o remote
+	// departures — gets its tau-bucket slot up front (see alloc).
+	arrSlot := inter.tauSlot(lambda)
+	sl.locSlot = growInts(sl.locSlot, lv.sc.VMs+1)
+	for l := 1; l <= lv.sc.VMs; l++ {
+		sl.locSlot[l] = inter.tauSlot(float64(l) * mu)
+	}
+	sl.remSlot = growInts(sl.remSlot, lv.poolDim+1)
+	for o := 1; o <= lv.poolDim; o++ {
+		sl.remSlot[o] = inter.tauSlot(float64(o) * mu)
+	}
+	inter.startMemo(lv.share, lv.poolDim)
 	// Per-state contributions merge in a dense per-destination accumulator
 	// (many interaction atoms land on the same destination); touched lists
 	// the row's destinations so the row is emitted in ascending column
@@ -185,7 +212,7 @@ func (sl *levelSlot) build(demand float64, opts markov.SteadyStateOptions) error
 		}
 
 		// Arrival event (C1-C3).
-		arr := inter.alloc(lv, s, o, a, 1/lambda, capAloc, lv.poolDim-o)
+		arr := inter.alloc(s, a, arrSlot, capAloc, lv.poolDim-o)
 		for _, e := range arr {
 			switch {
 			case q+e.aloc < lv.sc.VMs: // C1: local idle VM
@@ -207,7 +234,7 @@ func (sl *levelSlot) build(demand float64, opts markov.SteadyStateOptions) error
 		// Local departure event (C4).
 		if l := min(q, lv.sc.VMs-s); l > 0 {
 			rate := float64(l) * mu
-			dep := inter.alloc(lv, s, o, a, 1/rate, capAloc, lv.poolDim-o)
+			dep := inter.alloc(s, a, sl.locSlot[l], capAloc, lv.poolDim-o)
 			for _, e := range dep {
 				switch {
 				case q-1+e.aloc >= lv.sc.VMs: // own queue absorbs the VM
@@ -223,7 +250,7 @@ func (sl *levelSlot) build(demand float64, opts markov.SteadyStateOptions) error
 		// Remote departure event (C5).
 		if o > 0 {
 			rate := float64(o) * mu
-			dep := inter.alloc(lv, s, o, a, 1/rate, capAloc, lv.poolDim-(o-1))
+			dep := inter.alloc(s, a, sl.remSlot[o], capAloc, lv.poolDim-(o-1))
 			for _, e := range dep {
 				switch {
 				case e.cong && o-1+e.arem+1 <= lv.poolDim: // predecessors take it

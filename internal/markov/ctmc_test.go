@@ -1,7 +1,9 @@
 package markov
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -231,5 +233,120 @@ func TestBuilderRejectsNonFiniteRate(t *testing.T) {
 		if _, err := b.Build(); err == nil {
 			t.Errorf("Build accepted a generator containing rate %v", rate)
 		}
+	}
+}
+
+// gaussSeidelReference is the textbook Gauss-Seidel loop the fused solver
+// replaced: copy the iterate, sweep the rows in place, Normalize, then
+// L1Diff against the copy. It returns the solution and the number of
+// iterations taken. SteadyStateGaussSeidel must reproduce it bit for bit.
+func gaussSeidelReference(c *CTMC, opts SteadyStateOptions) ([]float64, int, error) {
+	opts.defaults()
+	qt := c.rates.Transpose()
+	pi := make([]float64, c.n)
+	if opts.Start != nil {
+		copy(pi, opts.Start)
+	} else {
+		numeric.Fill(pi, 1/float64(c.n))
+	}
+	prev := make([]float64, c.n)
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		copy(prev, pi)
+		for j := 0; j < c.n; j++ {
+			if c.exit[j] == 0 {
+				continue
+			}
+			in := 0.0
+			for i := qt.RowPtr[j]; i < qt.RowPtr[j+1]; i++ {
+				in += qt.Val[i] * pi[qt.ColIdx[i]]
+			}
+			pi[j] = in / c.exit[j]
+		}
+		if numeric.Normalize(pi) == 0 {
+			return nil, iter + 1, ErrNoConvergence
+		}
+		if numeric.L1Diff(pi, prev) < opts.Tol {
+			return pi, iter + 1, nil
+		}
+	}
+	return nil, opts.MaxIter, ErrNoConvergence
+}
+
+// checkGaussSeidelMatchesReference solves c with both the fused solver and
+// the reference loop and requires the same error, the same iteration count
+// and the same bits in every entry. It returns the shared error.
+func checkGaussSeidelMatchesReference(t *testing.T, name string, c *CTMC, opts SteadyStateOptions) error {
+	t.Helper()
+	want, wantIter, wantErr := gaussSeidelReference(c, opts)
+	var stats SolveStats
+	opts.Stats = &stats
+	got, err := c.SteadyStateGaussSeidel(opts)
+	if err != wantErr {
+		t.Fatalf("%s: error %v, reference %v", name, err, wantErr)
+	}
+	if err != nil {
+		return err
+	}
+	if stats.Iterations != wantIter {
+		t.Errorf("%s: %d iterations, reference %d", name, stats.Iterations, wantIter)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: pi[%d] = %v (%#x), reference %v (%#x)", name, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+	return nil
+}
+
+// TestGaussSeidelMatchesReference pins the fused Gauss-Seidel sweep to the
+// reference loop on random irreducible chains (cold and from a warm Start),
+// and on a chain with an absorbing state, whose mass the sweep leaves alone.
+func TestGaussSeidelMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + rng.Intn(60)
+		bl := NewBuilder(n)
+		randomChainInto(bl, rng, n)
+		c, err := bl.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkGaussSeidelMatchesReference(t, fmt.Sprintf("seed %d cold", seed), c, SteadyStateOptions{}); err != nil {
+			t.Fatalf("seed %d cold: %v", seed, err)
+		}
+		start := make([]float64, n)
+		for i := range start {
+			start[i] = rng.Float64()
+		}
+		numeric.Normalize(start)
+		if err := checkGaussSeidelMatchesReference(t, fmt.Sprintf("seed %d warm", seed), c, SteadyStateOptions{Start: start, Tol: 1e-12}); err != nil {
+			t.Fatalf("seed %d warm: %v", seed, err)
+		}
+	}
+
+	// A birth-death chain whose last state is absorbing: the iterates drain
+	// into it while it keeps its own mass through every sweep.
+	const n = 12
+	bl := NewBuilder(n)
+	for i := 0; i < n-1; i++ {
+		bl.Add(i, i+1, 1.5)
+		if i > 0 {
+			bl.Add(i, i-1, 0.5)
+		}
+	}
+	c, err := bl.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.ExitRate(n-1) != 0 {
+		t.Fatalf("state %d is not absorbing", n-1)
+	}
+	if err := checkGaussSeidelMatchesReference(t, "absorbing", c, SteadyStateOptions{}); err != nil {
+		t.Fatalf("absorbing: %v", err)
+	}
+	// An exhausted budget fails the same way in both.
+	if err := checkGaussSeidelMatchesReference(t, "absorbing, capped", c, SteadyStateOptions{MaxIter: 3}); err != ErrNoConvergence {
+		t.Fatalf("absorbing, capped: error %v, want ErrNoConvergence", err)
 	}
 }

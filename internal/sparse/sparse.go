@@ -19,10 +19,15 @@ var ErrShape = errors.New("sparse: dimension mismatch")
 // summed when the CSR matrix is built, which makes transition-rate assembly
 // ("add rate r from state a to state b") natural. A Builder owns sorting
 // scratch that is reused across Build calls, so a long-lived Builder cycled
-// through Reset assembles chains without reallocating.
+// through Reset assembles chains without reallocating. Entries added in CSR
+// order — rows ascending, columns strictly ascending within a row, as a
+// generator assembled row by row emits them — skip the sort altogether.
 type Builder struct {
 	rows, cols int
 	entries    []entry
+	// unordered records that some Add broke CSR order (or repeated a
+	// coordinate), so Build must sort and merge.
+	unordered bool
 	// Build scratch, retained across calls so repeated assembly of
 	// similarly sized chains stops allocating.
 	sorted []entry
@@ -47,6 +52,7 @@ func NewBuilder(rows, cols int) *Builder {
 func (b *Builder) Reset(rows, cols int) {
 	b.rows, b.cols = rows, cols
 	b.entries = b.entries[:0]
+	b.unordered = false
 }
 
 // Add accumulates v at (r, c). Out-of-range coordinates panic: they are
@@ -57,6 +63,11 @@ func (b *Builder) Add(r, c int, v float64) {
 	}
 	if v == 0 {
 		return
+	}
+	if n := len(b.entries); n > 0 {
+		if last := b.entries[n-1]; r < last.r || r == last.r && c <= last.c {
+			b.unordered = true
+		}
 	}
 	b.entries = append(b.entries, entry{r: r, c: c, v: v})
 }
@@ -72,13 +83,17 @@ func (b *Builder) Build() *CSR {
 
 // BuildInto assembles the CSR matrix into m, reusing m's index and value
 // storage when capacities allow (m may be nil or zero-valued, in which case
-// the storage is allocated). Entries are ordered with a counting sort by row
-// followed by per-row column sorts, which avoids reflection-based sorting on
-// the hot path of chain assembly. The returned matrix is m (or a fresh one
-// when m is nil); any previous contents are overwritten.
+// the storage is allocated). Entries added in CSR order are copied straight
+// across; otherwise they are ordered with a counting sort by row followed by
+// per-row column sorts, which avoids reflection-based sorting on the hot
+// path of chain assembly. The returned matrix is m (or a fresh one when m is
+// nil); any previous contents are overwritten.
 func (b *Builder) BuildInto(m *CSR) *CSR {
 	if m == nil {
 		m = &CSR{}
+	}
+	if !b.unordered {
+		return b.buildOrdered(m)
 	}
 	b.counts = growInts(b.counts, b.rows+1)
 	counts := b.counts
@@ -128,6 +143,28 @@ func (b *Builder) BuildInto(m *CSR) *CSR {
 			m.RowPtr[es[i].r+1]++
 		}
 		i = j
+	}
+	for r := 0; r < b.rows; r++ {
+		m.RowPtr[r+1] += m.RowPtr[r]
+	}
+	return m
+}
+
+// buildOrdered is BuildInto for entries that arrived in CSR order: every
+// coordinate is distinct and non-zero, so the entries are the matrix.
+func (b *Builder) buildOrdered(m *CSR) *CSR {
+	nnz := len(b.entries)
+	m.Rows, m.Cols = b.rows, b.cols
+	m.RowPtr = growInts(m.RowPtr, b.rows+1)
+	clear(m.RowPtr)
+	m.ColIdx = growInts(m.ColIdx, nnz)
+	if cap(m.Val) < nnz {
+		m.Val = make([]float64, nnz)
+	}
+	m.Val = m.Val[:nnz]
+	for i, e := range b.entries {
+		m.ColIdx[i], m.Val[i] = e.c, e.v
+		m.RowPtr[e.r+1]++
 	}
 	for r := 0; r < b.rows; r++ {
 		m.RowPtr[r+1] += m.RowPtr[r]
@@ -195,16 +232,19 @@ func (m *CSR) MulVecTTo(dst, x []float64) error {
 	if len(x) != m.Rows || len(dst) != m.Cols {
 		return ErrShape
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for r := 0; r < m.Rows; r++ {
-		xr := x[r]
+	clear(dst)
+	for r, xr := range x {
 		if xr == 0 {
 			continue
 		}
-		for i := m.RowPtr[r]; i < m.RowPtr[r+1]; i++ {
-			dst[m.ColIdx[i]] += m.Val[i] * xr
+		// Equal-length row sub-slices let the compiler drop the per-entry
+		// bounds checks on the index and value arrays.
+		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+		cols := m.ColIdx[lo:hi]
+		vals := m.Val[lo:hi]
+		vals = vals[:len(cols)]
+		for i, c := range cols {
+			dst[c] += vals[i] * xr
 		}
 	}
 	return nil

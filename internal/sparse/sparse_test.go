@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -177,13 +178,9 @@ func TestBuildOrderIndependentProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5
-		type e struct {
-			r, c int
-			v    float64
-		}
-		var es []e
+		var es []entry
 		for k := 0; k < 15; k++ {
-			es = append(es, e{rng.Intn(n), rng.Intn(n), float64(rng.Intn(9) + 1)})
+			es = append(es, entry{rng.Intn(n), rng.Intn(n), float64(rng.Intn(9) + 1)})
 		}
 		b1 := NewBuilder(n, n)
 		for _, x := range es {
@@ -202,10 +199,99 @@ func TestBuildOrderIndependentProperty(t *testing.T) {
 				}
 			}
 		}
+		// The same matrix inserted in CSR order, duplicates pre-summed, takes
+		// the sort-free path; it must equal, array for array, the shuffled
+		// insertion, which takes the sorting path whenever its order breaks
+		// CSR order. The values are small integers, so every summation
+		// order is exact.
+		dense := make([]float64, n*n)
+		for _, x := range es {
+			dense[x.r*n+x.c] += x.v
+		}
+		b3 := NewBuilder(n, n)
+		for i, v := range dense {
+			b3.Add(i/n, i%n, v)
+		}
+		if b3.unordered {
+			return false
+		}
+		if b2.unordered != !inCSROrder(perm, es) {
+			return false
+		}
+		// Sorted but with repeated coordinates is not CSR order: the
+		// repeats must still be summed on the sorting path.
+		sorted := slices.Clone(es)
+		slices.SortStableFunc(sorted, func(a, b entry) int { return (a.r*n + a.c) - (b.r*n + b.c) })
+		b4 := NewBuilder(n, n)
+		ident := make([]int, len(sorted))
+		for i, x := range sorted {
+			b4.Add(x.r, x.c, x.v)
+			ident[i] = i
+		}
+		if b4.unordered != !inCSROrder(ident, sorted) {
+			return false
+		}
+		for _, m := range []*CSR{b3.Build(), b4.Build()} {
+			if !slices.Equal(m.RowPtr, m2.RowPtr) || !slices.Equal(m.ColIdx, m2.ColIdx) || !slices.Equal(m.Val, m2.Val) {
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// inCSROrder reports whether inserting es in perm order visits strictly
+// ascending (row, column) coordinates.
+func inCSROrder(perm []int, es []entry) bool {
+	for k := 1; k < len(perm); k++ {
+		a, b := es[perm[k-1]], es[perm[k]]
+		if b.r < a.r || b.r == a.r && b.c <= a.c {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMulVecTToMatchesNaive pins the sub-sliced transpose multiply bit for
+// bit to the plain index loop, on random matrices and vectors with exact
+// zeros: the kernel skips zero rows of x, the naive loop adds their signed
+// zero products, and the sums must not differ in a single bit.
+func TestMulVecTToMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		rows, cols := 1+rng.Intn(40), 1+rng.Intn(40)
+		b := NewBuilder(rows, cols)
+		for k := 0; k < 4*rows; k++ {
+			b.Add(rng.Intn(rows), rng.Intn(cols), rng.NormFloat64())
+		}
+		m := b.Build()
+		x := make([]float64, rows)
+		for i := range x {
+			if rng.Intn(3) > 0 {
+				x[i] = rng.NormFloat64()
+			}
+		}
+		want := make([]float64, cols)
+		for r := 0; r < m.Rows; r++ {
+			for i := m.RowPtr[r]; i < m.RowPtr[r+1]; i++ {
+				want[m.ColIdx[i]] += m.Val[i] * x[r]
+			}
+		}
+		got := make([]float64, cols)
+		for i := range got {
+			got[i] = math.NaN() // every entry must be overwritten
+		}
+		if err := m.MulVecTTo(got, x); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: dst[%d] = %v, naive loop %v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -33,6 +33,14 @@ if [[ -n "$unformatted" ]]; then
     exit 1
 fi
 
+# Kernel bit-identity, uninstrumented: the recorded sweep-box bits, handle
+# reuse, serial-vs-parallel readouts, and the markov/sparse kernels against
+# their reference loops. A kernel change that moves one bit fails here in
+# seconds instead of after the race suite.
+echo "==> kernel bit-identity"
+go test -count=1 -run 'TestSweepBoxBitIdentity|TestSolverReuseBitIdentical|TestParallelReadoutsMatchSerial|TestGaussSeidelMatchesReference|TestMulVecTToMatchesNaive|TestBuildOrderIndependentProperty' \
+    ./internal/approx/ ./internal/markov/ ./internal/sparse/
+
 # The race-instrumented approx suite outgrew go test's default 10m
 # per-package timeout; give the full gate headroom.
 echo "==> go test -race ${short} ./..."
