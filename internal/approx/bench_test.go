@@ -1,6 +1,10 @@
 package approx
 
-import "testing"
+import (
+	"testing"
+
+	"scshare/internal/markov"
+)
 
 // BenchmarkApproxSweepBox times the approx half of a cold Fig. 7a sweep:
 // the 20 serial SolveAll calls of the sweep box (see sweepBox), each on a
@@ -12,7 +16,7 @@ func BenchmarkApproxSweepBox(b *testing.B) {
 	box := sweepBox()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := solveSweepBox(box, 1, nil, nil); err != nil {
+		if _, err := solveSweepBox(box, 1, nil, markov.SteadyStateOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

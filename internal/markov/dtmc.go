@@ -62,6 +62,7 @@ func (d *DTMC) SteadyState(opts SteadyStateOptions) ([]float64, error) {
 	}
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		if err := d.Step(next, cur); err != nil {
+			opts.record(iter)
 			return nil, err
 		}
 		numeric.Normalize(next)
@@ -79,5 +80,6 @@ func (d *DTMC) SteadyState(opts SteadyStateOptions) ([]float64, error) {
 		}
 		cur, next = next, cur
 	}
+	opts.record(opts.MaxIter)
 	return nil, ErrNoConvergence
 }

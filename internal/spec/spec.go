@@ -205,9 +205,11 @@ func (sp *Federation) Key() (string, error) {
 	return string(b), nil
 }
 
-// ParseAlpha resolves a welfare-regime name or number.
+// ParseAlpha resolves a welfare-regime name or number. Surrounding
+// whitespace is ignored and names match case-insensitively.
 func ParseAlpha(s string) (float64, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
+	t := strings.TrimSpace(s)
+	switch strings.ToLower(t) {
 	case "", "utilitarian":
 		return market.AlphaUtilitarian, nil
 	case "proportional":
@@ -215,7 +217,7 @@ func ParseAlpha(s string) (float64, error) {
 	case "maxmin", "max-min":
 		return market.AlphaMaxMin, nil
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(t, 64)
 	if err != nil || math.IsNaN(v) || v < 0 {
 		return 0, fmt.Errorf("bad alpha %q: want utilitarian, proportional, maxmin, or a number >= 0", s)
 	}

@@ -33,13 +33,22 @@ if [[ -n "$unformatted" ]]; then
     exit 1
 fi
 
-# Kernel bit-identity, uninstrumented: the recorded sweep-box bits, handle
-# reuse, serial-vs-parallel readouts, and the markov/sparse kernels against
-# their reference loops. A kernel change that moves one bit fails here in
-# seconds instead of after the race suite.
-echo "==> kernel bit-identity"
-go test -count=1 -run 'TestSweepBoxBitIdentity|TestSolverReuseBitIdentical|TestParallelReadoutsMatchSerial|TestGaussSeidelMatchesReference|TestMulVecTToMatchesNaive|TestBuildOrderIndependentProperty' \
+# Kernel bits and solver accuracy, uninstrumented: the recorded sweep-box
+# bits, handle reuse, serial-vs-parallel readouts and the sparse kernels
+# against their reference loops; the sweep box's metrics against a
+# tight-tolerance solve, and the Gauss-Seidel solver against its reference
+# loop's fixed point. A kernel change that moves one bit, or a solver change
+# that loses accuracy, fails here in seconds instead of after the race
+# suite.
+echo "==> kernel bits and solver accuracy"
+go test -count=1 -run 'TestSweepBoxBitIdentity|TestSweepBoxRelaxedAccuracy|TestSolverReuseBitIdentical|TestParallelReadoutsMatchSerial|TestGaussSeidelMatchesReference|TestMulVecTToMatchesNaive|TestBuildOrderIndependentProperty' \
     ./internal/approx/ ./internal/markov/ ./internal/sparse/
+
+# perfbench is a module of its own, so ./... above does not reach it. Its
+# harness tests (tail percentile, calibration, fail_ratio counting, and the
+# calibration kernel's no-import/no-alloc guards) run offline.
+echo "==> perfbench harness tests"
+(cd perfbench && GOFLAGS=-mod=mod GOPROXY=off go test -count=1 .)
 
 # The race-instrumented approx suite outgrew go test's default 10m
 # per-package timeout; give the full gate headroom.
