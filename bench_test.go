@@ -303,41 +303,40 @@ func kScalingFederation(k int) (cloud.Federation, []int) {
 }
 
 // BenchmarkApproxKScaling is the BENCH_6 large-K cost curve: whole-vector
-// SolveAll on one reused solver handle for K = 4..32, serial (W=1) and with
-// the batched readout pool (W=4). PoolCap pins the interaction grid at the
-// K=4 pool size (every SC shares 2 VMs, so K=4 saturates the cap exactly)
-// the way every large-K caller bounds it — without a cap the auto-sized
-// pool dimension grows linearly in K and the curve would measure grid
-// growth, not K-scaling. With the grid fixed, ns/sc is the per-SC solve
-// cost whose sublinearity in K the allocation diet is accountable for;
-// allocs/op and B/op track the arena reuse.
+// SolveAll on one reused solver handle for K = 4..32. The rows keep their
+// "/W=1" suffix, which BENCH_6 and scripts/bench.sh key on; the solver is
+// serial. PoolCap pins the interaction grid at the K=4 pool size (every SC
+// shares 2 VMs, so K=4 saturates the cap exactly) the way every large-K
+// caller bounds it — without a cap the auto-sized pool dimension grows
+// linearly in K and the curve would measure grid growth, not K-scaling.
+// With the grid fixed, ns/sc is the per-SC solve cost whose sublinearity
+// in K the allocation diet is accountable for; allocs/op and B/op track
+// the arena reuse.
 func BenchmarkApproxKScaling(b *testing.B) {
 	for _, k := range []int{4, 8, 16, 32} {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("K=%d/W=%d", k, workers), func(b *testing.B) {
-				fed, shares := kScalingFederation(k)
-				solver, err := approx.NewSolver(approx.Config{
-					Federation: fed, Shares: shares,
-					Prune: 1e-5, PoolCap: 8, Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				// One untimed solve builds the arenas; the timed loop
-				// measures the steady-state reuse path.
+		b.Run(fmt.Sprintf("K=%d/W=1", k), func(b *testing.B) {
+			fed, shares := kScalingFederation(k)
+			solver, err := approx.NewSolver(approx.Config{
+				Federation: fed, Shares: shares,
+				Prune: 1e-5, PoolCap: 8,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// One untimed solve builds the arenas; the timed loop measures
+			// the steady-state reuse path.
+			if _, err := solver.SolveAll(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := solver.SolveAll(); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := solver.SolveAll(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k), "ns/sc")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k), "ns/sc")
+		})
 	}
 }
 

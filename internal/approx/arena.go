@@ -6,7 +6,7 @@ import "scshare/internal/markov"
 // indexing, steady state, summaries), the interaction scratch, the
 // generator builder, and the steady-state workspace, all cycled across
 // passes, grid points, and solves. A Solver owns one slot per chain
-// position plus one per readout worker; slot reuse across builds is safe
+// position plus one for SolveAll's readouts; slot reuse across builds is safe
 // because every level is fully rebuilt before it is read and readers only
 // ever consume the immediately previous level.
 type levelSlot struct {

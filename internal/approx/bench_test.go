@@ -16,7 +16,7 @@ func BenchmarkApproxSweepBox(b *testing.B) {
 	box := sweepBox()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := solveSweepBox(box, 1, nil, markov.SteadyStateOptions{}); err != nil {
+		if _, err := solveSweepBox(box, nil, markov.SteadyStateOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

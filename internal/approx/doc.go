@@ -53,10 +53,9 @@
 // recycled storage, so repeat solves on one handle allocate almost
 // nothing (DESIGN.md §16). WithShares swaps the share vector per call —
 // how the market evaluator serves thousands of vectors from a pool of
-// handles — and WithOrder overrides the chain order. A Solver is
-// single-goroutine; SolveAll can fan its readout levels across
-// Config.Workers goroutines internally, bit-identically to the serial
-// schedule. Summary distributions are adaptively truncated under
+// handles. A Solver solves serially on one goroutine; callers that want
+// more cores run more solves at once, each on its own handle. Summary
+// distributions are adaptively truncated under
 // Config.TruncEps (mass-preserving, default 1e-9, accounted in
 // Config.PruneStats); set TruncEps negative to disable.
 package approx

@@ -2,7 +2,7 @@ package approx
 
 import "scshare/internal/cloud"
 
-// solveOne, solveVec, and solveWithOrder adapt the Solver API to the
+// solveOne and solveVec adapt the Solver API to the
 // one-shot shape most tests want: construct a fresh handle, solve once.
 // Arena reuse across solves is pinned separately (see reuse_test.go).
 func solveOne(cfg Config, target int) (*Model, error) {
@@ -19,12 +19,4 @@ func solveVec(cfg Config) ([]cloud.Metrics, error) {
 		return nil, err
 	}
 	return s.SolveAll()
-}
-
-func solveWithOrder(cfg Config, target int, order []int) (*Model, error) {
-	s, err := NewSolver(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.Solve(target, WithOrder(order))
 }

@@ -37,6 +37,10 @@ var maxIterates = int(relaxationCutoff+6*math.Sqrt(relaxationCutoff)) + 4
 // remainder is renormalized, so total event rates are preserved.
 const defaultPrune = 1e-6
 
+// transientEps is the Poisson mass the Fox-Glynn weights of a transient
+// mixture may leave out.
+const transientEps = 1e-9
+
 // steadyRelaxTol declares a transient iterate fully relaxed once its L1
 // distance to the steady state falls below it; further stepping only
 // accumulates rounding error.
@@ -90,7 +94,6 @@ type interactions struct {
 	// buys no extra lending — without this saturation the market game
 	// degenerates into a share-declaration arms race.
 	peerShares []int
-	epsilon    float64
 	// preserveS keeps the current s across events for a predecessor-less
 	// level whose s is driven by the explicit successor-demand process;
 	// without that process s must collapse to 0 or the chain decomposes
@@ -102,9 +105,6 @@ type interactions struct {
 	truncEps float64
 	// counter accumulates the truncated mass; nil disables accounting.
 	counter *PruneCounter
-	// uncondition starts every transient from the unconditioned steady
-	// state (accuracy ablation).
-	uncondition bool
 	// shiftF and shiftLent are the SolveAll readout self-exclusion shifts
 	// (in VMs); see setSelfExclusion.
 	shiftF, shiftLent float64
@@ -146,22 +146,17 @@ type interactions struct {
 // reset re-aims the interactions at a new previous level, clearing the
 // caches while keeping their storage. truncEps must already be resolved
 // (<= 0 disables truncation).
-func (in *interactions) reset(prev *level, curShare int, peerShares []int, epsilon, prune, truncEps float64, counter *PruneCounter) {
-	if epsilon <= 0 {
-		epsilon = 1e-9
-	}
+func (in *interactions) reset(prev *level, curShare int, peerShares []int, prune, truncEps float64, counter *PruneCounter) {
 	if prune <= 0 {
 		prune = defaultPrune
 	}
 	in.prev = prev
 	in.curShare = curShare
 	in.peerShares = peerShares
-	in.epsilon = epsilon
 	in.prune = prune
 	in.truncEps = truncEps
 	in.counter = counter
 	in.preserveS = false
-	in.uncondition = false
 	in.shiftF, in.shiftLent = 0, 0
 	in.jointN = 0
 	in.jsSlab = in.jsSlab[:0]
@@ -409,8 +404,7 @@ func (in *interactions) shiftAxisDown(joint []float64, stride, extent int, shift
 // expected self-lending shiftLent is added back first — floored, because
 // conditioning feeds the lend dynamics back into the aggregate and rounding
 // the bias up overdrives that loop — since the caller's aggregate excludes
-// the readout SC's own borrowing while the groups do not. Under the
-// uncondition ablation every group starts from the steady state itself.
+// the readout SC's own borrowing while the groups do not.
 //
 // The previous level steps each resolved group once and caches the
 // collapsed iterates; this level copies them and finishes each copy with
@@ -421,11 +415,7 @@ func (in *interactions) groupIterates(g int) [][]float64 {
 		return js
 	}
 	prev := in.prev
-	r := -1
-	if !in.uncondition {
-		r = prev.resolveGroup(g + int(in.shiftLent))
-	}
-	first, count := prev.stepGroup(r)
+	first, count := prev.stepGroup(prev.resolveGroup(g + int(in.shiftLent)))
 	js := in.nextJS()
 	for k := range js {
 		if k >= count {
@@ -461,7 +451,7 @@ func (in *interactions) foxGlynnFor(bucket int, jumps float64) numeric.FoxGlynn 
 			return m.fg
 		}
 	}
-	fg := numeric.NewFoxGlynn(jumps, in.epsilon)
+	fg := numeric.NewFoxGlynn(jumps, transientEps)
 	in.foxGlynn = append(in.foxGlynn, foxGlynnMemo{bucket: bucket, fg: fg})
 	return fg
 }

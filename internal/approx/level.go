@@ -88,15 +88,12 @@ func queueCap(sc cloud.SC, pool int) int {
 // reset re-dimensions the level scaffolding in place. poolDim <= pool
 // bounds the modeled shared-VM usage; the (o, a) index grid is rebuilt only
 // when that bound actually changes.
-func (lv *level) reset(sc cloud.SC, share, pool, poolDim, qcap int) {
+func (lv *level) reset(sc cloud.SC, share, pool, poolDim int) {
 	if poolDim <= 0 || poolDim > pool {
 		poolDim = pool
 	}
-	if qcap <= 0 {
-		qcap = queueCap(sc, poolDim)
-	}
 	sameGrid := lv.oaIdx != nil && lv.poolDim == poolDim
-	lv.sc, lv.share, lv.pool, lv.poolDim, lv.qmax = sc, share, pool, poolDim, qcap
+	lv.sc, lv.share, lv.pool, lv.poolDim, lv.qmax = sc, share, pool, poolDim, queueCap(sc, poolDim)
 	_, _, dim := lv.summaryStrides()
 	lv.iter.reset(share+poolDim+1, dim)
 	if sameGrid {
@@ -515,23 +512,4 @@ func (lv *level) stepGroup(r int) (first, count int) {
 	}
 	c.spans[r+1] = iterSpan{first: first, count: count}
 	return first, count
-}
-
-// stepAllGroups steps every group a successor can resolve to — each group
-// with non-negligible mass, or only the steady start when unconditioned or
-// when every group is empty — so that concurrent readers (SolveAll's
-// readout workers) find every entry present and only ever read the cache.
-func (lv *level) stepAllGroups(uncondition bool) {
-	stepped := false
-	if !uncondition {
-		for r, mass := range lv.groupMass {
-			if mass > groupMassEps {
-				lv.stepGroup(r)
-				stepped = true
-			}
-		}
-	}
-	if !stepped {
-		lv.stepGroup(-1)
-	}
 }

@@ -3,7 +3,6 @@ package approx
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"scshare/internal/cloud"
 	"scshare/internal/markov"
@@ -20,10 +19,6 @@ type Config struct {
 	// against. It may be nil at construction when every call re-aims the
 	// solver with WithShares (the evaluator-pool pattern).
 	Shares []int
-	// QueueCap optionally overrides the per-SC queue truncation.
-	QueueCap []int
-	// Epsilon is the transient-analysis truncation (default 1e-9).
-	Epsilon float64
 	// Prune drops interaction atoms below this probability (default 1e-6);
 	// larger values trade accuracy for speed on big federations.
 	Prune float64
@@ -41,16 +36,6 @@ type Config struct {
 	// silent (core.Diagnose warns on it; scserve surfaces it in /metrics).
 	// Safe to share across solvers and goroutines; nil disables accounting.
 	PruneStats *PruneCounter
-	// Workers bounds the goroutines SolveAll fans the K-1 independent
-	// readout levels across (0 or 1 = serial). Each worker owns a private
-	// level arena and the merge is by SC index, so the result is
-	// bit-identical to the serial schedule.
-	Workers int
-	// Uncondition disables the pi^X conditioning of the interaction
-	// vectors (the transient analysis then always starts from the previous
-	// level's unconditioned steady state). For the ablation benchmarks
-	// only: it degrades accuracy.
-	Uncondition bool
 	// PoolCap bounds the modeled shared-VM usage per level. 0 sizes it
 	// automatically from the federation's overflow demand (the declared
 	// pool B_i often vastly exceeds what is ever in use); negative values
@@ -92,22 +77,21 @@ type Model struct {
 // amortize every per-level allocation; the second solve on a handle runs in
 // the first solve's storage and produces bit-identical metrics.
 //
-// A Solver is NOT safe for concurrent use: one handle serves one goroutine
-// at a time (SolveAll's internal readout workers each own a private arena).
-// Pool handles per worker — market.ApproxEvaluator does exactly that.
+// A Solver solves serially and is NOT safe for concurrent use: one handle
+// serves one goroutine at a time. Parallelism belongs above the solver —
+// pool handles per worker, as market.ApproxEvaluator does.
 type Solver struct {
 	cfg      Config
 	k        int
 	passes   int
-	workers  int
 	truncEps float64
 	overflow []float64
 
 	// Chain arenas: slots[i] carries level position i of the spine /
-	// per-target chain across passes and solves; rslots[w] is readout
-	// worker w's private arena.
-	slots  []*levelSlot
-	rslots []*levelSlot
+	// per-target chain across passes and solves; readout is the arena of
+	// SolveAll's readout levels.
+	slots   []*levelSlot
+	readout *levelSlot
 
 	// Reused per-solve scratch.
 	levels   []*level
@@ -143,19 +127,15 @@ func NewSolver(cfg Config) (*Solver, error) {
 	} else if trunc < 0 {
 		trunc = 0
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	k := len(cfg.Federation.SCs)
 	s := &Solver{
 		cfg:      cfg,
 		k:        k,
 		passes:   passes,
-		workers:  workers,
 		truncEps: trunc,
 		overflow: overflow,
 		slots:    make([]*levelSlot, k),
+		readout:  newLevelSlot(),
 	}
 	for i := range s.slots {
 		s.slots[i] = newLevelSlot()
@@ -167,15 +147,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 type SolveOption func(*solveOpts)
 
 type solveOpts struct {
-	order  []int
 	shares []int
-}
-
-// WithOrder fixes the level order of a Solve call; it must be a permutation
-// of the SC indices ending with the target. Solve only — SolveAll's spine
-// order is part of its construction.
-func WithOrder(order []int) SolveOption {
-	return func(o *solveOpts) { o.order = order }
 }
 
 // WithShares re-aims the solver at a new share vector before solving. The
@@ -196,47 +168,38 @@ func (s *Solver) setShares(shares []int) error {
 }
 
 // applyOpts folds the per-call options into the solver state.
-func (s *Solver) applyOpts(opts []SolveOption) (solveOpts, error) {
+func (s *Solver) applyOpts(opts []SolveOption) error {
 	var o solveOpts
 	for _, f := range opts {
 		f(&o)
 	}
 	if o.shares != nil {
 		if err := s.setShares(o.shares); err != nil {
-			return o, err
+			return err
 		}
 	}
 	if s.cfg.Shares == nil {
-		return o, fmt.Errorf("approx: no share vector: set Config.Shares or pass WithShares")
+		return fmt.Errorf("approx: no share vector: set Config.Shares or pass WithShares")
 	}
-	return o, nil
+	return nil
 }
 
 // Solve builds and solves the per-target hierarchy M^1..M^K for the given
 // target SC: the other SCs are processed in ascending index order with the
-// target last (override with WithOrder). Use SolveAll for every SC's
-// metrics off one shared hierarchy.
+// target last. Use SolveAll for every SC's metrics off one shared
+// hierarchy.
 func (s *Solver) Solve(target int, opts ...SolveOption) (*Model, error) {
-	o, err := s.applyOpts(opts)
-	if err != nil {
+	if err := s.applyOpts(opts); err != nil {
 		return nil, err
 	}
 	if target < 0 || target >= s.k {
 		return nil, fmt.Errorf("approx: target %d out of range [0,%d)", target, s.k)
 	}
-	order := o.order
-	if order != nil {
-		if err := validateOrder(order, s.k, target); err != nil {
-			return nil, err
-		}
-	} else {
-		order = s.defaultOrder(target)
-	}
-	return s.solveOrdered(order, target)
+	return s.solveTarget(target)
 }
 
-func (s *Solver) solveOrdered(order []int, target int) (*Model, error) {
-	levels, err := s.buildChain(order)
+func (s *Solver) solveTarget(target int) (*Model, error) {
+	levels, err := s.buildChain(target)
 	if err != nil {
 		return nil, err
 	}
@@ -252,11 +215,11 @@ func (s *Solver) solveOrdered(order []int, target int) (*Model, error) {
 	return m, nil
 }
 
-// buildChain runs the pass loop over one level order and returns the final
-// pass's solved levels — views into the solver's arena slots, valid until
-// the next build.
-func (s *Solver) buildChain(order []int) ([]*level, error) {
-	target := order[len(order)-1]
+// buildChain runs the pass loop over the target's level order and returns
+// the final pass's solved levels — views into the solver's arena slots,
+// valid until the next build.
+func (s *Solver) buildChain(target int) ([]*level, error) {
+	order := s.defaultOrder(target)
 	demand := 0.0
 	levels := s.levels[:0]
 	for pass := 0; pass < s.passes; pass++ {
@@ -264,7 +227,7 @@ func (s *Solver) buildChain(order []int) ([]*level, error) {
 		var prev *level
 		prevIdx := -1
 		for pos, scIdx := range order {
-			lv, err := s.buildLevel(s.slots[pos], prev, prevIdx, scIdx, demand, target, 0, 0, s.cfg.Solver.Stats)
+			lv, err := s.buildLevel(s.slots[pos], prev, prevIdx, scIdx, demand, target, 0, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -288,16 +251,12 @@ func (s *Solver) buildChain(order []int) ([]*level, error) {
 // Solve(k-1) warm each other, and each readout level shares warmth with
 // Solve(t)'s final level. shiftF/shiftLent install the readout
 // self-exclusion shift (see buildReadout); both are 0 for ordinary chain
-// levels. stats is the per-goroutine iteration sink (nil to skip).
-func (s *Solver) buildLevel(sl *levelSlot, prev *level, prevIdx, scIdx int, demand float64, warmTarget int, shiftF, shiftLent float64, stats *markov.SolveStats) (*level, error) {
+// levels.
+func (s *Solver) buildLevel(sl *levelSlot, prev *level, prevIdx, scIdx int, demand float64, warmTarget int, shiftF, shiftLent float64) (*level, error) {
 	cfg := &s.cfg
 	sc := cfg.Federation.SCs[scIdx]
 	share := cfg.Shares[scIdx]
 	pool := cloud.PoolExcluding(cfg.Shares, scIdx)
-	qcap := 0
-	if cfg.QueueCap != nil && scIdx < len(cfg.QueueCap) {
-		qcap = cfg.QueueCap[scIdx]
-	}
 	// Shares of the other members of the previous level's pool (everyone
 	// except the previous SC and this one); they weight the demand split in
 	// the interaction vectors.
@@ -308,15 +267,13 @@ func (s *Solver) buildLevel(sl *levelSlot, prev *level, prevIdx, scIdx int, dema
 		}
 	}
 	sl.peers = peers
-	sl.lv.reset(sc, share, pool, poolDim(*cfg, s.overflow, scIdx, pool), qcap)
-	sl.inter.reset(prev, share, peers, cfg.Epsilon, cfg.Prune, s.truncEps, cfg.PruneStats)
+	sl.lv.reset(sc, share, pool, poolDim(*cfg, s.overflow, scIdx, pool))
+	sl.inter.reset(prev, share, peers, cfg.Prune, s.truncEps, cfg.PruneStats)
 	sl.inter.preserveS = prev == nil && demand > 0
-	sl.inter.uncondition = cfg.Uncondition
 	if shiftF > 0 || shiftLent > 0 {
 		sl.inter.setSelfExclusion(shiftF, shiftLent)
 	}
 	solver := cfg.Solver
-	solver.Stats = stats
 	solver.Dst = sl.lv.steady
 	solver.Work = &sl.work
 	if start := cfg.Warm.lookup(s.k, warmTarget, scIdx, sl.lv.numStates()); start != nil {
@@ -327,15 +284,6 @@ func (s *Solver) buildLevel(sl *levelSlot, prev *level, prevIdx, scIdx int, dema
 	}
 	cfg.Warm.store(s.k, warmTarget, scIdx, sl.lv.numStates(), sl.lv.steady)
 	return &sl.lv, nil
-}
-
-// readoutSlot returns readout worker w's private arena, growing the pool on
-// first use.
-func (s *Solver) readoutSlot(w int) *levelSlot {
-	for len(s.rslots) <= w {
-		s.rslots = append(s.rslots, newLevelSlot())
-	}
-	return s.rslots[w]
 }
 
 // selfExclusionTol is the per-SC borrow-estimate movement (in VMs) below
@@ -358,27 +306,23 @@ const maxReadoutRounds = 2
 // subtraction is iterated to a fixpoint on the borrow estimates. That is
 // ~K+... level solves per vector in place of the K*K (times passes) a
 // per-target loop pays; DESIGN.md §12 spells out what is and is not
-// identical to K per-target Solve calls. The K-1 readouts of each fixpoint
-// round are independent and, when Config.Workers > 1, are fanned across
-// that many goroutines with per-worker arenas; the index-ordered merge
-// keeps the result bit-identical to the serial schedule.
+// identical to K per-target Solve calls. The readouts run one after
+// another in one arena; each steps the transients of the last level's
+// conditioning groups it needs on first use, and later readouts reuse them
+// (see level.stepGroup).
 func (s *Solver) SolveAll(opts ...SolveOption) ([]cloud.Metrics, error) {
-	o, err := s.applyOpts(opts)
-	if err != nil {
+	if err := s.applyOpts(opts); err != nil {
 		return nil, err
-	}
-	if o.order != nil {
-		return nil, fmt.Errorf("approx: WithOrder applies to Solve only")
 	}
 	k := s.k
 	if k == 1 {
-		m, err := s.solveOrdered(s.defaultOrder(0), 0)
+		m, err := s.solveTarget(0)
 		if err != nil {
 			return nil, err
 		}
 		return []cloud.Metrics{m.Metrics()}, nil
 	}
-	spine, err := s.buildChain(s.defaultOrder(k - 1))
+	spine, err := s.buildChain(k - 1)
 	if err != nil {
 		return nil, err
 	}
@@ -395,24 +339,19 @@ func (s *Solver) SolveAll(opts ...SolveOption) ([]cloud.Metrics, error) {
 	for t := 0; t < k-1; t++ {
 		borrow[t] = spine[t].metrics().BorrowRate
 	}
-	workers := s.workers
-	if workers > k-1 {
-		workers = k - 1
-	}
-	// Every readout conditions on the same last level, so its transients
-	// are stepped once here, before the rounds fan out; the readouts only
-	// read them (see level.stepGroup).
-	last.stepAllGroups(s.cfg.Uncondition)
 	for round := 0; round < maxReadoutRounds; round++ {
-		var moved bool
-		var err error
-		if workers <= 1 {
-			moved, err = s.readoutRoundSerial(last, borrow, out)
-		} else {
-			moved, err = s.readoutRoundParallel(workers, last, borrow, out)
-		}
-		if err != nil {
-			return nil, err
+		moved := false
+		for t := 0; t < k-1; t++ {
+			lv, err := s.buildReadout(last, k-1, t, borrow[t])
+			if err != nil {
+				return nil, err
+			}
+			m := lv.metrics()
+			if math.Abs(m.BorrowRate-borrow[t]) > selfExclusionTol {
+				moved = true
+			}
+			borrow[t] = m.BorrowRate
+			out[t] = m
 		}
 		if !moved {
 			break
@@ -421,94 +360,22 @@ func (s *Solver) SolveAll(opts ...SolveOption) ([]cloud.Metrics, error) {
 	return out, nil
 }
 
-// readoutRoundSerial runs one readout fixpoint round on the primary readout
-// arena.
-func (s *Solver) readoutRoundSerial(last *level, borrow []float64, out []cloud.Metrics) (bool, error) {
-	k := s.k
-	sl := s.readoutSlot(0)
-	moved := false
-	for t := 0; t < k-1; t++ {
-		lv, err := s.buildReadout(sl, last, k-1, t, borrow[t], s.cfg.Solver.Stats)
-		if err != nil {
-			return false, err
-		}
-		m := lv.metrics()
-		if math.Abs(m.BorrowRate-borrow[t]) > selfExclusionTol {
-			moved = true
-		}
-		borrow[t] = m.BorrowRate
-		out[t] = m
-	}
-	return moved, nil
-}
-
-// readoutRoundParallel fans one fixpoint round's K-1 independent readouts
-// across the worker pool. Worker w handles the strided index set
-// {w, w+workers, ...} with its own arena and iteration-stats sink, writing
-// disjoint elements of borrow and out, so the round is race-free and its
-// merged result bit-identical to the serial schedule (readout t depends
-// only on the shared spine and borrow[t]).
-func (s *Solver) readoutRoundParallel(workers int, last *level, borrow []float64, out []cloud.Metrics) (bool, error) {
-	k := s.k
-	errs := make([]error, workers)
-	stats := make([]markov.SolveStats, workers)
-	movedW := make([]bool, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		sl := s.readoutSlot(w)
-		wg.Add(1)
-		go func(w int, sl *levelSlot) {
-			defer wg.Done()
-			var st *markov.SolveStats
-			if s.cfg.Solver.Stats != nil {
-				st = &stats[w]
-			}
-			for t := w; t < k-1; t += workers {
-				lv, err := s.buildReadout(sl, last, k-1, t, borrow[t], st)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				m := lv.metrics()
-				if math.Abs(m.BorrowRate-borrow[t]) > selfExclusionTol {
-					movedW[w] = true
-				}
-				borrow[t] = m.BorrowRate
-				out[t] = m
-			}
-		}(w, sl)
-	}
-	wg.Wait()
-	moved := false
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return false, errs[w]
-		}
-		moved = moved || movedW[w]
-		if s.cfg.Solver.Stats != nil {
-			s.cfg.Solver.Stats.Iterations += stats[w].Iterations
-			s.cfg.Solver.Stats.Solves += stats[w].Solves
-		}
-	}
-	return moved, nil
-}
-
 // buildReadout solves SC t's readout level off the shared spine into the
-// given arena slot: one final hierarchy level whose predecessor is the
+// readout arena: one final hierarchy level whose predecessor is the
 // spine's last level. The spine includes SC t among the last level's
 // predecessors, so its summary counts SC t's own borrowing as foreign pool
 // usage; the self-exclusion shift subtracts that usage in expectation,
 // split between the last SC's lent count (the borrowed VMs that belong to
 // SC lastIdx) and the foreign usage F (those that belong to the remaining
 // pool members).
-func (s *Solver) buildReadout(sl *levelSlot, last *level, lastIdx, t int, borrowEst float64, stats *markov.SolveStats) (*level, error) {
+func (s *Solver) buildReadout(last *level, lastIdx, t int, borrowEst float64) (*level, error) {
 	shiftF, shiftLent := 0.0, 0.0
 	if pool := cloud.PoolExcluding(s.cfg.Shares, t); pool > 0 && borrowEst > 0 {
 		wLast := float64(s.cfg.Shares[lastIdx]) / float64(pool)
 		shiftLent = borrowEst * wLast
 		shiftF = borrowEst * (1 - wLast)
 	}
-	return s.buildLevel(sl, last, lastIdx, t, 0, t, shiftF, shiftLent, stats)
+	return s.buildLevel(s.readout, last, lastIdx, t, 0, t, shiftF, shiftLent)
 }
 
 // successorDemand estimates the rate at which the rest of the federation
@@ -584,24 +451,6 @@ func (s *Solver) defaultOrder(target int) []int {
 	order = append(order, target)
 	s.orderBuf = order
 	return order
-}
-
-// validateOrder checks an explicit level order passed via WithOrder.
-func validateOrder(order []int, k, target int) error {
-	if len(order) != k {
-		return fmt.Errorf("approx: order has %d entries for %d SCs", len(order), k)
-	}
-	seen := make([]bool, k)
-	for _, i := range order {
-		if i < 0 || i >= k || seen[i] {
-			return fmt.Errorf("approx: order %v is not a permutation", order)
-		}
-		seen[i] = true
-	}
-	if order[k-1] != target {
-		return fmt.Errorf("approx: order must end with target %d, got %v", target, order)
-	}
-	return nil
 }
 
 // Metrics returns the target SC's performance parameters.

@@ -31,15 +31,6 @@ func TestSolveValidation(t *testing.T) {
 	if _, err := solveOne(Config{Federation: fed, Shares: []int{1, 1}}, 5); err == nil {
 		t.Error("out-of-range target accepted")
 	}
-	if _, err := solveWithOrder(Config{Federation: fed, Shares: []int{1, 1}}, 1, []int{0}); err == nil {
-		t.Error("short order accepted")
-	}
-	if _, err := solveWithOrder(Config{Federation: fed, Shares: []int{1, 1}}, 1, []int{1, 0}); err == nil {
-		t.Error("order not ending with target accepted")
-	}
-	if _, err := solveWithOrder(Config{Federation: fed, Shares: []int{1, 1}}, 1, []int{0, 0}); err == nil {
-		t.Error("non-permutation order accepted")
-	}
 }
 
 // A single SC with nothing shared must reduce to the Sect. III-A model.
@@ -243,41 +234,9 @@ func TestStateSpaceReduction(t *testing.T) {
 	}
 }
 
-func TestCustomQueueCap(t *testing.T) {
-	fed := fed2(6, 6)
-	m, err := solveOne(Config{Federation: fed, Shares: []int{2, 2}, QueueCap: []int{14, 14}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, err := solveOne(Config{Federation: fed, Shares: []int{2, 2}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TotalStates() >= auto.TotalStates() {
-		t.Errorf("custom cap did not shrink: %d >= %d", m.TotalStates(), auto.TotalStates())
-	}
-	if math.Abs(m.Metrics().Utilization-auto.Metrics().Utilization) > 5e-3 {
-		t.Errorf("truncation shifted utilization: %v vs %v",
-			m.Metrics().Utilization, auto.Metrics().Utilization)
-	}
-}
-
-func TestExplicitOrder(t *testing.T) {
-	fed := fed2(7, 7)
-	m, err := solveWithOrder(Config{Federation: fed, Shares: []int{3, 3}}, 0, []int{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Metrics().Utilization <= 0 {
-		t.Error("empty metrics under explicit order")
-	}
-}
-
-// The pi^X conditioning ablation: both variants must track the exact model
-// (the difference between them is small and scenario-dependent — on this
-// symmetric case the unconditioned start is marginally closer on lend+borrow
-// while conditioning matters for the forwarding tail; see DESIGN.md).
-func TestConditioningAblationStaysInBand(t *testing.T) {
+// The pi^X conditioning must track the exact model; DESIGN.md §8 records
+// how it compared with an unconditioned start.
+func TestConditioningStaysInBand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-validation is slow")
 	}
@@ -292,23 +251,10 @@ func TestConditioningAblationStaysInBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncond, err := solveOne(Config{Federation: fed, Shares: shares, Uncondition: true}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errOf := func(m cloud.Metrics) float64 {
-		return math.Abs(m.LendRate-want.LendRate) + math.Abs(m.BorrowRate-want.BorrowRate)
-	}
-	ec, eu := errOf(cond.Metrics()), errOf(uncond.Metrics())
-	t.Logf("conditioned err %v, unconditioned err %v (exact lend %v borrow %v)",
-		ec, eu, want.LendRate, want.BorrowRate)
+	m := cond.Metrics()
+	ec := math.Abs(m.LendRate-want.LendRate) + math.Abs(m.BorrowRate-want.BorrowRate)
+	t.Logf("conditioned err %v (exact lend %v borrow %v)", ec, want.LendRate, want.BorrowRate)
 	if ec > 0.35*(want.LendRate+want.BorrowRate) {
 		t.Errorf("conditioned variant out of band: err %v", ec)
-	}
-	if eu > 0.35*(want.LendRate+want.BorrowRate) {
-		t.Errorf("unconditioned variant out of band: err %v", eu)
-	}
-	if cond.Metrics() == uncond.Metrics() {
-		t.Error("ablation switch had no effect")
 	}
 }

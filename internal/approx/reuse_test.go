@@ -78,36 +78,6 @@ func TestSolverReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelReadoutsMatchSerial pins the batched-readout merge: SolveAll
-// with a worker pool must be bit-identical to the serial schedule (each
-// readout depends only on the shared spine and its own borrow estimate).
-func TestParallelReadoutsMatchSerial(t *testing.T) {
-	fed, shares := fedK(5)
-	serial, err := NewSolver(Config{Federation: fed, Shares: shares})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serial.SolveAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4} {
-		par, err := NewSolver(Config{Federation: fed, Shares: shares, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := par.SolveAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d SC %d: %+v vs serial %+v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestWithSharesPerCall pins the evaluator-pool pattern: a solver built
 // without a share vector solves under per-call WithShares, never writes
 // through to the caller's slice, and refuses to solve with no vector set.

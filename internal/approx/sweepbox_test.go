@@ -62,19 +62,18 @@ func sweepBox() []boxVector {
 }
 
 // sweepBoxConfig is the sweep workload's approx configuration for one
-// sub-federation, with the given readout worker count and level solver
-// options.
-func sweepBoxConfig(v boxVector, workers int, warm *WarmCache, prune *PruneCounter, solver markov.SteadyStateOptions) Config {
-	return Config{Federation: v.fed, Passes: 1, Prune: 1e-4, PoolCap: 4, Workers: workers, Warm: warm, PruneStats: prune, Solver: solver}
+// sub-federation, with the given level solver options.
+func sweepBoxConfig(v boxVector, warm *WarmCache, prune *PruneCounter, solver markov.SteadyStateOptions) Config {
+	return Config{Federation: v.fed, Passes: 1, Prune: 1e-4, PoolCap: 4, Warm: warm, PruneStats: prune, Solver: solver}
 }
 
 // solveSweepBox runs one SolveAll per box vector, one after another, each
 // on a fresh handle, threading one warm cache through the whole box.
-func solveSweepBox(box []boxVector, workers int, prune *PruneCounter, solver markov.SteadyStateOptions) ([][]cloud.Metrics, error) {
+func solveSweepBox(box []boxVector, prune *PruneCounter, solver markov.SteadyStateOptions) ([][]cloud.Metrics, error) {
 	warm := NewWarmCache()
 	out := make([][]cloud.Metrics, len(box))
 	for i, v := range box {
-		s, err := NewSolver(sweepBoxConfig(v, workers, warm, prune, solver))
+		s, err := NewSolver(sweepBoxConfig(v, warm, prune, solver))
 		if err != nil {
 			return nil, err
 		}
@@ -109,10 +108,8 @@ func metricsDigest(ms []cloud.Metrics) uint64 {
 // steady-state floats by less than the solver tolerance; see
 // TestSweepBoxRelaxedAccuracy); every kernel change since must reproduce
 // them bit for bit, and so must the truncation account and the
-// steady-state iteration count. Two readout workers, which share the
-// spine's iterate cache, must reproduce them too — except the summed
-// truncated mass, whose float sum follows the workers' interleaving. amd64
-// only: other architectures may fuse multiply-adds and round differently.
+// steady-state iteration count. amd64 only: other architectures may fuse
+// multiply-adds and round differently.
 func TestSweepBoxBitIdentity(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
@@ -150,33 +147,30 @@ func TestSweepBoxBitIdentity(t *testing.T) {
 	if len(box) != 20 {
 		t.Fatalf("sweep box has %d participating vectors, want 20", len(box))
 	}
-	for _, workers := range []int{1, 2} {
-		prune := &PruneCounter{}
-		var stats markov.SolveStats
-		got, err := solveSweepBox(box, workers, prune, markov.SteadyStateOptions{Stats: &stats})
-		if err != nil {
-			t.Fatal(err)
+	prune := &PruneCounter{}
+	var stats markov.SolveStats
+	got, err := solveSweepBox(box, prune, markov.SteadyStateOptions{Stats: &stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range box {
+		if d := metricsDigest(got[i]); d != want[v.label] {
+			t.Errorf("%s: metrics digest %#x, want %#x; metrics %+v", v.label, d, want[v.label], got[i])
 		}
-		for i, v := range box {
-			d := metricsDigest(got[i])
-			if d != want[v.label] {
-				t.Errorf("workers=%d %s: metrics digest %#x, want %#x; metrics %+v", workers, v.label, d, want[v.label], got[i])
-			}
-		}
-		ps := prune.Stats()
-		if b := math.Float64bits(ps.TotalMass); workers == 1 && b != wantTotalMass {
-			t.Errorf("truncated mass bits %#x (%v), want %#x", b, ps.TotalMass, uint64(wantTotalMass))
-		}
-		if b := math.Float64bits(ps.MaxMass); b != wantMaxMass {
-			t.Errorf("workers=%d: max truncated mass bits %#x (%v), want %#x", workers, b, ps.MaxMass, uint64(wantMaxMass))
-		}
-		if ps.Joints != wantJoints {
-			t.Errorf("workers=%d: truncated joints %d, want %d", workers, ps.Joints, wantJoints)
-		}
-		if stats.Iterations != wantIterations || stats.Solves != wantSolves {
-			t.Errorf("workers=%d: steady-state work %d iterations / %d solves, want %d / %d",
-				workers, stats.Iterations, stats.Solves, wantIterations, wantSolves)
-		}
+	}
+	ps := prune.Stats()
+	if b := math.Float64bits(ps.TotalMass); b != wantTotalMass {
+		t.Errorf("truncated mass bits %#x (%v), want %#x", b, ps.TotalMass, uint64(wantTotalMass))
+	}
+	if b := math.Float64bits(ps.MaxMass); b != wantMaxMass {
+		t.Errorf("max truncated mass bits %#x (%v), want %#x", b, ps.MaxMass, uint64(wantMaxMass))
+	}
+	if ps.Joints != wantJoints {
+		t.Errorf("truncated joints %d, want %d", ps.Joints, wantJoints)
+	}
+	if stats.Iterations != wantIterations || stats.Solves != wantSolves {
+		t.Errorf("steady-state work %d iterations / %d solves, want %d / %d",
+			stats.Iterations, stats.Solves, wantIterations, wantSolves)
 	}
 }
 
@@ -193,11 +187,11 @@ func TestSweepBoxRelaxedAccuracy(t *testing.T) {
 		relErrFloor       = 1e-300 // every box metric is nonzero
 	)
 	box := sweepBox()
-	got, err := solveSweepBox(box, 1, nil, markov.SteadyStateOptions{})
+	got, err := solveSweepBox(box, nil, markov.SteadyStateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := solveSweepBox(box, 1, nil, markov.SteadyStateOptions{Tol: boxReferenceTol})
+	ref, err := solveSweepBox(box, nil, markov.SteadyStateOptions{Tol: boxReferenceTol})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,6 @@ type Config struct {
 	Federation cloud.Federation
 	// Shares is S_i for every SC.
 	Shares []int
-	// QueueCap optionally overrides the per-SC queue truncation level
-	// (requests from an SC's own customers, q_i <= QueueCap[i]).
-	QueueCap []int
 	// Solver options; zero values select defaults.
 	Solver markov.SteadyStateOptions
 }
@@ -63,9 +60,9 @@ type Model struct {
 	metrics []cloud.Metrics
 }
 
-// DefaultQueueCap returns the truncation level used for SC i when none is
-// supplied: beyond it the admission probability has decayed to numerical
-// zero even with the whole federation pool assisting.
+// DefaultQueueCap returns the truncation level of SC i's own requests
+// (q_i <= DefaultQueueCap): beyond it the admission probability has decayed
+// to numerical zero even with the whole federation pool assisting.
 func DefaultQueueCap(sc cloud.SC, pool int) int {
 	v := sc.VMs + pool
 	mean := float64(v) * sc.ServiceRate * sc.SLA
@@ -83,11 +80,7 @@ func Solve(cfg Config) (*Model, error) {
 	k := len(cfg.Federation.SCs)
 	caps := make([]int, k)
 	for i, sc := range cfg.Federation.SCs {
-		if cfg.QueueCap != nil && i < len(cfg.QueueCap) && cfg.QueueCap[i] > 0 {
-			caps[i] = cfg.QueueCap[i]
-		} else {
-			caps[i] = DefaultQueueCap(sc, cloud.PoolExcluding(cfg.Shares, i))
-		}
+		caps[i] = DefaultQueueCap(sc, cloud.PoolExcluding(cfg.Shares, i))
 	}
 	m := &Model{cfg: cfg, k: k}
 	index := make(map[string]int)
@@ -279,9 +272,6 @@ func (m *Model) addArrival(b *markov.Builder, si int, st state, i int, sc cloud.
 func (m *Model) capOf(st state, i int) int {
 	// All states with the same sharing pattern share the q grid, which was
 	// enumerated up to caps[i]; recover it lazily from the model config.
-	if m.cfg.QueueCap != nil && i < len(m.cfg.QueueCap) && m.cfg.QueueCap[i] > 0 {
-		return m.cfg.QueueCap[i]
-	}
 	return DefaultQueueCap(m.cfg.Federation.SCs[i], cloud.PoolExcluding(m.cfg.Shares, i))
 }
 

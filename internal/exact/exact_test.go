@@ -210,26 +210,6 @@ func TestCompositions(t *testing.T) {
 	}
 }
 
-func TestCustomQueueCap(t *testing.T) {
-	fed := fed2(3, 3)
-	small, err := Solve(Config{Federation: fed, Shares: []int{1, 1}, QueueCap: []int{8, 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, err := Solve(Config{Federation: fed, Shares: []int{1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.NumStates() >= auto.NumStates() {
-		t.Errorf("custom cap did not shrink the space: %d >= %d", small.NumStates(), auto.NumStates())
-	}
-	// At light load truncation barely matters.
-	if math.Abs(small.Metrics(0).Utilization-auto.Metrics(0).Utilization) > 1e-3 {
-		t.Errorf("truncation shifted utilization: %v vs %v",
-			small.Metrics(0).Utilization, auto.Metrics(0).Utilization)
-	}
-}
-
 // Heterogeneous service rates: a job's completion rate follows the VM's
 // host. The detailed CTMC and the simulator must agree on this too.
 func TestHeterogeneousServiceRates(t *testing.T) {

@@ -107,9 +107,6 @@ type EvaluatorOptions struct {
 	// follows the ApproxEvaluator ownership rule (nil means an
 	// evaluator-private cache).
 	Approx approx.Config
-	// QueueCap overrides the per-SC queue truncation of the detailed CTMC
-	// (KindExact).
-	QueueCap []int
 	// SimHorizon, SimWarmup, and SimSeed configure the discrete-event
 	// simulator (KindSim); zero horizon and warmup pick the package
 	// defaults.
@@ -130,7 +127,7 @@ func NewEvaluator(kind Kind, fed cloud.Federation, opts EvaluatorOptions) (AllEv
 	case KindApprox:
 		return ApproxEvaluator(fed, opts.Approx), nil
 	case KindExact:
-		return ExactEvaluator(fed, opts.QueueCap), nil
+		return ExactEvaluator(fed), nil
 	case KindSim:
 		horizon := opts.SimHorizon
 		if horizon <= 0 {
@@ -218,20 +215,19 @@ func (ae approxEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
 
 // exactEvaluator backs ExactEvaluator.
 type exactEvaluator struct {
-	fed      cloud.Federation
-	queueCap []int
+	fed cloud.Federation
 }
 
 // ExactEvaluator evaluates sharing decisions with the detailed CTMC; it is
 // only practical for very small federations. One solve yields every SC's
 // metrics, so it implements AllEvaluator natively.
-func ExactEvaluator(fed cloud.Federation, queueCap []int) AllEvaluator {
-	return exactEvaluator{fed: fed, queueCap: queueCap}
+func ExactEvaluator(fed cloud.Federation) AllEvaluator {
+	return exactEvaluator{fed: fed}
 }
 
 // Evaluate implements Evaluator.
 func (ee exactEvaluator) Evaluate(shares []int, target int) (cloud.Metrics, error) {
-	m, err := exact.Solve(exact.Config{Federation: ee.fed, Shares: shares, QueueCap: ee.queueCap})
+	m, err := exact.Solve(exact.Config{Federation: ee.fed, Shares: shares})
 	if err != nil {
 		return cloud.Metrics{}, err
 	}
@@ -241,7 +237,7 @@ func (ee exactEvaluator) Evaluate(shares []int, target int) (cloud.Metrics, erro
 // EvaluateAll implements AllEvaluator: the detailed chain is solved once
 // and every SC's metrics are read from the same stationary distribution.
 func (ee exactEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
-	m, err := exact.Solve(exact.Config{Federation: ee.fed, Shares: shares, QueueCap: ee.queueCap})
+	m, err := exact.Solve(exact.Config{Federation: ee.fed, Shares: shares})
 	if err != nil {
 		return nil, err
 	}
@@ -264,8 +260,20 @@ type memoCall struct {
 	memoEntry
 }
 
-// memoShard is one lock domain of the sharded cache.
-type memoShard struct {
+// memoEvaluator caches evaluations and deduplicates concurrent solves of
+// the same key. One mutex guards the cache and the in-flight table; solves
+// run outside it, so distinct keys still evaluate in parallel.
+type memoEvaluator struct {
+	inner Evaluator
+	// all is non-nil when inner solves whole share vectors at once; the
+	// cache is then keyed by vector, without the target.
+	all AllEvaluator
+	// hits counts lookups served from the cache (including joins of an
+	// in-flight solve); misses counts lookups that ran the model, split by
+	// path into allSolves (whole-vector) and targetSolves (per-target).
+	hits, misses            atomic.Uint64
+	allSolves, targetSolves atomic.Uint64
+
 	mu sync.Mutex
 	// cache and inflight are guarded by mu.
 	cache    map[string]memoEntry
@@ -274,54 +282,31 @@ type memoShard struct {
 
 // do returns the entry for key, joining an in-flight solve when one exists
 // and running solve itself otherwise. The solve runs outside the critical
-// section, so distinct keys on the same shard still evaluate in parallel.
-// The second result reports whether the entry was served without running
-// solve (a cache hit or an in-flight join).
-func (s *memoShard) do(key string, solve func() memoEntry) (memoEntry, bool) {
-	s.mu.Lock()
-	if e, ok := s.cache[key]; ok {
-		s.mu.Unlock()
+// section. The second result reports whether the entry was served without
+// running solve (a cache hit or an in-flight join).
+func (me *memoEvaluator) do(key string, solve func() memoEntry) (memoEntry, bool) {
+	me.mu.Lock()
+	if e, ok := me.cache[key]; ok {
+		me.mu.Unlock()
 		return e, true
 	}
-	if c, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
+	if c, ok := me.inflight[key]; ok {
+		me.mu.Unlock()
 		<-c.done
 		return c.memoEntry, true
 	}
 	c := &memoCall{done: make(chan struct{})}
-	s.inflight[key] = c
-	s.mu.Unlock()
+	me.inflight[key] = c
+	me.mu.Unlock()
 
 	c.memoEntry = solve()
 	close(c.done)
 
-	s.mu.Lock()
-	s.cache[key] = c.memoEntry
-	delete(s.inflight, key)
-	s.mu.Unlock()
+	me.mu.Lock()
+	me.cache[key] = c.memoEntry
+	delete(me.inflight, key)
+	me.mu.Unlock()
 	return c.memoEntry, false
-}
-
-// memoShardCount is the number of lock domains. A power of two well above
-// GOMAXPROCS on typical hardware: the parallel best-response rounds and
-// multi-start runs hammer the cache from every worker, and one global mutex
-// was the measured contention point on big sweeps.
-const memoShardCount = 32
-
-// memoEvaluator caches evaluations and deduplicates concurrent solves of
-// the same key. The key's FNV-1a hash picks one of memoShardCount
-// independently locked shards, so concurrent lookups rarely contend.
-type memoEvaluator struct {
-	inner Evaluator
-	// all is non-nil when inner solves whole share vectors at once; the
-	// cache is then keyed by vector, without the target.
-	all    AllEvaluator
-	shards [memoShardCount]memoShard
-	// hits counts lookups served from the cache (including joins of an
-	// in-flight solve); misses counts lookups that ran the model, split by
-	// path into allSolves (whole-vector) and targetSolves (per-target).
-	hits, misses            atomic.Uint64
-	allSolves, targetSolves atomic.Uint64
 }
 
 // CacheStats summarizes a memoized evaluator's lookup history. A hit is a
@@ -379,18 +364,18 @@ func (me *memoEvaluator) count(hit, wholeVector bool) {
 // Memoize caches evaluations by (shares, target) — or by the share vector
 // alone when the evaluator implements AllEvaluator. It is safe for
 // concurrent use: parallel callers asking for the same key share a single
-// solve, and distinct keys spread across independently locked shards.
+// solve, and distinct keys solve in parallel.
 //
 // When the wrapped evaluator implements AllEvaluator, so does the returned
 // one, so downstream whole-vector fast paths (Game.fillOutcome, the welfare
 // planner) survive memoization instead of degrading to K per-target probes.
 func Memoize(ev Evaluator) Evaluator {
-	me := &memoEvaluator{inner: ev}
-	me.all, _ = ev.(AllEvaluator)
-	for i := range me.shards {
-		me.shards[i].cache = make(map[string]memoEntry)
-		me.shards[i].inflight = make(map[string]*memoCall)
+	me := &memoEvaluator{
+		inner:    ev,
+		cache:    make(map[string]memoEntry),
+		inflight: make(map[string]*memoCall),
 	}
+	me.all, _ = ev.(AllEvaluator)
 	if me.all != nil {
 		return memoAllEvaluator{me}
 	}
@@ -410,16 +395,6 @@ func (me memoAllEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
 	return e.all, e.err
 }
 
-// shardOf hashes a cache key (FNV-1a) onto a shard index.
-func (me *memoEvaluator) shardOf(key string) *memoShard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return &me.shards[h%memoShardCount]
-}
-
 // vectorKey encodes a share vector as a cache key prefix.
 func vectorKey(shares []int) []byte {
 	key := make([]byte, 0, 4*len(shares)+4)
@@ -434,7 +409,7 @@ func vectorKey(shares []int) []byte {
 // exactly once per key.
 func (me *memoEvaluator) allEntry(shares []int) memoEntry {
 	k := string(vectorKey(shares))
-	e, hit := me.shardOf(k).do(k, func() memoEntry {
+	e, hit := me.do(k, func() memoEntry {
 		all, err := me.all.EvaluateAll(shares)
 		return memoEntry{all: all, err: err}
 	})
@@ -447,7 +422,7 @@ func (me *memoEvaluator) Evaluate(shares []int, target int) (cloud.Metrics, erro
 	if me.all == nil {
 		key := strconv.AppendInt(vectorKey(shares), int64(target), 10)
 		k := string(key)
-		e, hit := me.shardOf(k).do(k, func() memoEntry {
+		e, hit := me.do(k, func() memoEntry {
 			m, err := me.inner.Evaluate(shares, target)
 			return memoEntry{m: m, err: err}
 		})

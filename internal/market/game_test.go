@@ -232,7 +232,7 @@ func TestGameWithExactModel(t *testing.T) {
 	}
 	g := &Game{
 		Federation: fed,
-		Evaluator:  Memoize(ExactEvaluator(fed, nil)),
+		Evaluator:  Memoize(ExactEvaluator(fed)),
 		Gamma:      UF0,
 		MaxRounds:  30,
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // countingAllEvaluator counts underlying whole-vector solves so tests can
-// assert the sharded cache's exactly-once guarantee.
+// assert the memo cache's exactly-once guarantee.
 type countingAllEvaluator struct {
 	fed    cloud.Federation
 	solves atomic.Int64
@@ -42,10 +42,10 @@ func (ev *countingAllEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, erro
 	return out, nil
 }
 
-// TestShardedCacheStress hammers the sharded memo cache from 64 goroutines
-// over a pile of distinct share vectors: every distinct vector must be
-// solved exactly once, across all shards and all targets.
-func TestShardedCacheStress(t *testing.T) {
+// TestMemoCacheStress hammers the memo cache from 64 goroutines over a pile
+// of distinct share vectors: every distinct vector must be solved exactly
+// once, across all targets.
+func TestMemoCacheStress(t *testing.T) {
 	fed := testFederation()
 	inner := &countingAllEvaluator{fed: fed}
 	ev := Memoize(inner)
@@ -82,8 +82,9 @@ func TestShardedCacheStress(t *testing.T) {
 	}
 }
 
-// TestShardedCachePerTargetStress is the per-target-keying variant: with a
-// plain Evaluator the exactly-once guarantee holds per (vector, target).
+// TestShardedCachePerTargetStress is the per-target-keying variant of
+// TestMemoCacheStress: with a plain Evaluator the exactly-once guarantee
+// holds per (vector, target).
 func TestShardedCachePerTargetStress(t *testing.T) {
 	fed := testFederation()
 	var solves atomic.Int64

@@ -67,21 +67,18 @@ func finiteMetrics(m cloud.Metrics) bool {
 // byte-identical snapshots.
 func (me *memoEvaluator) ExportCache() CacheDump {
 	d := CacheDump{Version: CacheDumpVersion}
-	for i := range me.shards {
-		s := &me.shards[i]
-		s.mu.Lock()
-		for key, e := range s.cache {
-			if e.err != nil {
-				continue
-			}
-			if e.all != nil {
-				d.Vectors = append(d.Vectors, VectorEntry{Key: key, Metrics: e.all})
-			} else {
-				d.Targets = append(d.Targets, TargetEntry{Key: key, Metrics: e.m})
-			}
+	me.mu.Lock()
+	for key, e := range me.cache {
+		if e.err != nil {
+			continue
 		}
-		s.mu.Unlock()
+		if e.all != nil {
+			d.Vectors = append(d.Vectors, VectorEntry{Key: key, Metrics: e.all})
+		} else {
+			d.Targets = append(d.Targets, TargetEntry{Key: key, Metrics: e.m})
+		}
 	}
+	me.mu.Unlock()
 	sort.Slice(d.Vectors, func(i, j int) bool { return d.Vectors[i].Key < d.Vectors[j].Key })
 	sort.Slice(d.Targets, func(i, j int) bool { return d.Targets[i].Key < d.Targets[j].Key })
 	return d
@@ -94,13 +91,12 @@ func (me *memoEvaluator) ImportCache(d CacheDump) (int, error) {
 	}
 	adopted := 0
 	adopt := func(key string, e memoEntry) {
-		s := me.shardOf(key)
-		s.mu.Lock()
-		if _, ok := s.cache[key]; !ok {
-			s.cache[key] = e
+		me.mu.Lock()
+		if _, ok := me.cache[key]; !ok {
+			me.cache[key] = e
 			adopted++
 		}
-		s.mu.Unlock()
+		me.mu.Unlock()
 	}
 	for _, v := range d.Vectors {
 		if v.Key == "" || len(v.Metrics) == 0 {

@@ -48,9 +48,10 @@ type sweepRequest struct {
 	// Alphas are the welfare regimes scored per point (default all three:
 	// utilitarian, proportional, maxmin).
 	Alphas []string `json:"alphas,omitempty"`
-	// Workers bounds grid-level parallelism (0 = GOMAXPROCS, 1 = serial).
-	// In dispatch mode (scserve -dispatch) the fleet schedules points
-	// itself and this field is ignored.
+	// Workers bounds grid-level parallelism (0 = GOMAXPROCS, 1 = serial);
+	// negative values are rejected and values above GOMAXPROCS are capped
+	// at it. In dispatch mode (scserve -dispatch) the fleet schedules
+	// points itself and this field is ignored after validation.
 	Workers int `json:"workers,omitempty"`
 	// ColdStart disables warm-starting each point from its grid neighbor.
 	// Fleet-dispatched sweeps always solve points cold (grid points are

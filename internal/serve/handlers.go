@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -173,6 +174,28 @@ func validDeadline(deadlineMs int64) error {
 	return nil
 }
 
+// validWorkers rejects a negative sweep worker count.
+func validWorkers(workers int) error {
+	if workers < 0 {
+		return fmt.Errorf("bad workers %d: want a worker count >= 0 (0 = GOMAXPROCS)", workers)
+	}
+	return nil
+}
+
+// sweepWorkers resolves a validated sweep worker count against the CPUs
+// this process may use: 0 and anything above GOMAXPROCS become GOMAXPROCS.
+// Admission counts a sweep as one solve, and every worker (and the
+// sweep's speculative Prime) solves on its own goroutine, so more workers
+// than CPUs would only take CPUs from the other admitted solves. The
+// sweep's output is the same at any worker count.
+func sweepWorkers(workers int) int {
+	procs := runtime.GOMAXPROCS(0)
+	if workers <= 0 || workers > procs {
+		return procs
+	}
+	return workers
+}
+
 // validPrice admits the federation prices a solve can digest: finite and
 // non-negative. NaN and ±Inf would otherwise flow straight into AdviseAt
 // and poison every downstream comparison.
@@ -317,6 +340,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
+	if err := validWorkers(req.Workers); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
 	alphaVals, alphaNames, err := parseAlphas(req.Alphas)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
@@ -371,7 +398,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer s.metrics.inFlight.Add(-1) // deferred: a panicking solve must not wedge the gauge
 	solveStart := time.Now()
 	pts, err := fw.SweepContext(ctx, req.Ratios, alphaVals, nil, core.SweepOptions{
-		Workers:   req.Workers,
+		Workers:   sweepWorkers(req.Workers),
 		WarmStart: !req.ColdStart,
 		OnPoint: func(i int, pt core.SweepPoint) {
 			s.metrics.sweepPoints.Add(1)

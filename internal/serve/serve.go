@@ -10,7 +10,7 @@
 // equilibrium), GET /healthz, and GET /metrics (expvar-style counters) —
 // and keeps one framework per distinct federation configuration alive
 // across requests (the spec-keyed spec.Cache), so repeated queries at
-// drifting prices are answered from the sharded evaluation cache and the
+// drifting prices are answered from the memoized evaluation cache and the
 // approximate model's warm-start caches instead of from cold solves.
 // Production hardening rides on top: an admission layer bounds concurrent
 // solves (excess load is shed with 429 + Retry-After priced from observed

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -80,17 +81,22 @@ func TestRequestValidation400s(t *testing.T) {
 	cases := []struct {
 		name, path string
 		body       any
+		// want, when set, must appear in the error body.
+		want string
 	}{
-		{"negative advise price", "/v1/advise", adviseRequest{federationSpec: testSpec(), Price: -1}},
-		{"negative advise deadline", "/v1/advise", adviseRequest{federationSpec: testSpec(), Price: 0.5, DeadlineMs: -1}},
-		{"negative sweep ratio", "/v1/sweep", sweepRequest{federationSpec: testSpec(), Ratios: []float64{0.5, -2}}},
-		{"negative sweep deadline", "/v1/sweep", sweepRequest{federationSpec: testSpec(), Ratios: []float64{0.5}, DeadlineMs: -9}},
-		{"negative track price", "/v1/track", trackRequest{federationSpec: testSpec(), Prices: []float64{-0.5}}},
+		{"negative advise price", "/v1/advise", adviseRequest{federationSpec: testSpec(), Price: -1}, ""},
+		{"negative advise deadline", "/v1/advise", adviseRequest{federationSpec: testSpec(), Price: 0.5, DeadlineMs: -1}, ""},
+		{"negative sweep ratio", "/v1/sweep", sweepRequest{federationSpec: testSpec(), Ratios: []float64{0.5, -2}}, ""},
+		{"negative sweep deadline", "/v1/sweep", sweepRequest{federationSpec: testSpec(), Ratios: []float64{0.5}, DeadlineMs: -9}, ""},
+		{"negative sweep workers", "/v1/sweep", sweepRequest{federationSpec: testSpec(), Ratios: []float64{0.5}, Workers: -1}, "workers"},
+		{"negative track price", "/v1/track", trackRequest{federationSpec: testSpec(), Prices: []float64{-0.5}}, ""},
 	}
 	for _, tc := range cases {
 		rec := postJSON(t, s, tc.path, tc.body)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (%s)", tc.name, rec.Code, rec.Body)
+		} else if !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: error %s does not name %q", tc.name, rec.Body, tc.want)
 		}
 	}
 	// The wire-level non-finite guard: JSON itself rejects 1e999, so a
@@ -100,6 +106,24 @@ func TestRequestValidation400s(t *testing.T) {
 		strings.NewReader(`{"scs": [{"vms": 10, "arrivalRate": 5.8}], "ratios": [1e999]}`)))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("1e999 ratio: status = %d, want 400", rec.Code)
+	}
+}
+
+// TestSweepWorkersCap pins the sweep worker cap: 0 and anything above
+// GOMAXPROCS resolve to GOMAXPROCS, smaller counts stay as asked. Only the
+// resolution is exercised here; no sweep is started with a huge count.
+func TestSweepWorkersCap(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ in, want int }{
+		{0, procs},
+		{1, 1},
+		{procs, procs},
+		{procs + 1, procs},
+		{1 << 30, procs},
+	} {
+		if got := sweepWorkers(tc.in); got != tc.want {
+			t.Errorf("sweepWorkers(%d) = %d, want %d (GOMAXPROCS %d)", tc.in, got, tc.want, procs)
+		}
 	}
 }
 

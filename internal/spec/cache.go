@@ -16,7 +16,7 @@ import (
 )
 
 // DefaultMaxFrameworks bounds the per-configuration framework cache; each
-// entry holds a sharded evaluation cache that only grows, so the map is a
+// entry holds a memoized evaluation cache that only grows, so the map is a
 // deliberate memory/time trade kept small enough to reason about.
 const DefaultMaxFrameworks = 32
 
@@ -24,7 +24,7 @@ const DefaultMaxFrameworks = 32
 // and the fleet workers: a bounded FIFO map of live core.Framework
 // instances keyed by the canonical normalized-spec JSON (Federation.Key).
 // What is shared across requests, and why that is safe: frameworks — and
-// with them the memoized evaluator, its 32-way sharded cache, and the
+// with them the memoized evaluator, its evaluation cache, and the
 // approximate model's warm-start caches — are keyed by the full
 // price-independent federation configuration. Performance metrics do not
 // depend on prices (DESIGN.md §10), so two requests that differ only in
@@ -32,7 +32,7 @@ const DefaultMaxFrameworks = 32
 // that differ in anything affecting metrics (the SCs, the model, its
 // tuning) or the game (gamma, tabu distance, share caps) get distinct
 // frameworks. Concurrent requests on one framework are safe because the
-// sharded cache deduplicates in-flight solves per key and the game itself
+// memo cache deduplicates in-flight solves per key and the game itself
 // is re-entrant (no state on Framework mutates after New).
 type Cache struct {
 	max int

@@ -35,17 +35,15 @@ type SC struct {
 	PublicPrice float64 `json:"publicPrice,omitempty"`
 }
 
-// Approx exposes the approximate model's cost/accuracy knobs. TruncEps
-// tunes the adaptive summary truncation (0 = the model's default budget,
-// negative disables it; see approx.Config.TruncEps) and Workers the
-// batched-readout pool — both change cost, never the contract (the
-// parallel schedule is bit-identical to serial).
+// Approx exposes the approximate model's cost/accuracy knobs, each the
+// approx.Config field of the same name. TruncEps tunes the adaptive
+// summary truncation (0 = the model's default budget, negative disables
+// it).
 type Approx struct {
 	Passes   int     `json:"passes,omitempty"`
 	Prune    float64 `json:"prune,omitempty"`
 	PoolCap  int     `json:"poolCap,omitempty"`
 	TruncEps float64 `json:"truncEps,omitempty"`
-	Workers  int     `json:"workers,omitempty"`
 }
 
 // Federation is the price-independent part of a request: everything that
@@ -182,7 +180,6 @@ func (sp *Federation) Config() core.Config {
 			Prune:    sp.Approx.Prune,
 			PoolCap:  sp.Approx.PoolCap,
 			TruncEps: sp.Approx.TruncEps,
-			Workers:  sp.Approx.Workers,
 		}
 	}
 	if sp.MaxShare > 0 {

@@ -295,7 +295,7 @@ awk -v gomaxprocs="$GOMAXPROCS" -v numcpu="$NUM_CPU" -v base_b="${BASE3_B:-0}" '
 END {
     printf "{\n"
     printf "  \"suite\": \"BENCH_6\",\n"
-    printf "  \"benchmark\": \"large-K allocation diet: per-SC solve cost over K (reused Solver arenas, serial vs batched readouts) and Fig. 7a sweep bytes vs the committed BENCH_3 baseline\",\n"
+    printf "  \"benchmark\": \"large-K allocation diet: per-SC solve cost over K (reused Solver arenas, serial readouts) and Fig. 7a sweep bytes vs the committed BENCH_3 baseline\",\n"
     printf "  \"gomaxprocs\": %s,\n", gomaxprocs
     printf "  \"num_cpu\": %s,\n", numcpu
     printf "  \"benchtime\": \"1x\",\n"

@@ -34,14 +34,13 @@ if [[ -n "$unformatted" ]]; then
 fi
 
 # Kernel bits and solver accuracy, uninstrumented: the recorded sweep-box
-# bits, handle reuse, serial-vs-parallel readouts and the sparse kernels
-# against their reference loops; the sweep box's metrics against a
-# tight-tolerance solve, and the Gauss-Seidel solver against its reference
-# loop's fixed point. A kernel change that moves one bit, or a solver change
-# that loses accuracy, fails here in seconds instead of after the race
-# suite.
+# bits, handle reuse and the sparse kernels against their reference loops;
+# the sweep box's metrics against a tight-tolerance solve, and the
+# Gauss-Seidel solver against its reference loop's fixed point. A kernel
+# change that moves one bit, or a solver change that loses accuracy, fails
+# here in seconds instead of after the race suite.
 echo "==> kernel bits and solver accuracy"
-go test -count=1 -run 'TestSweepBoxBitIdentity|TestSweepBoxRelaxedAccuracy|TestSolverReuseBitIdentical|TestParallelReadoutsMatchSerial|TestGaussSeidelMatchesReference|TestMulVecTToMatchesNaive|TestBuildOrderIndependentProperty' \
+go test -count=1 -run 'TestSweepBoxBitIdentity|TestSweepBoxRelaxedAccuracy|TestSolverReuseBitIdentical|TestGaussSeidelMatchesReference|TestMulVecTToMatchesNaive|TestBuildOrderIndependentProperty' \
     ./internal/approx/ ./internal/markov/ ./internal/sparse/
 
 # perfbench is a module of its own, so ./... above does not reach it. Its
@@ -110,9 +109,12 @@ if [[ "$missing" -ne 0 ]]; then
 fi
 
 # The unanchored pattern also picks up AblationApproxEvaluateAll/KTargets,
-# so the smoke run exercises the whole-vector SolveAll path.
-echo "==> quick-bench smoke (BenchmarkAblationApprox*, 1x)"
+# so the smoke run exercises the whole-vector SolveAll path. The sweep-box
+# benchmark is the approx kernel's reference timing; one iteration keeps
+# it building and running.
+echo "==> quick-bench smoke (BenchmarkAblationApprox*, BenchmarkApproxSweepBox, 1x)"
 go test -run '^$' -bench 'BenchmarkAblationApprox' -benchtime=1x .
+go test -run '^$' -bench '^BenchmarkApproxSweepBox$' -benchtime 1x ./internal/approx/
 
 # Allocation-diet smoke: the AllocsPerRun budgets on a reused Solver handle
 # (warm single-level solve and warm whole-vector solve) catch a change that
