@@ -46,6 +46,14 @@
 // None of this changes a floating-point operation: the generators, and so
 // every metric, are bit-identical to computing each value per state.
 //
+// Each level's queue dimension q is truncated from the level's own rates:
+// at the first row where a flux-balance bound on the steady mass of the
+// next row (arrivals admitted past the cut against the SC's guaranteed
+// local departures) falls below the unit roundoff 2^-53, and never beyond
+// a 6σ margin on the admission window. The first row cut off carries less
+// steady mass than a double can resolve next to one, and each row above it
+// less still (DESIGN.md §16).
+//
 // The package is driven through a reusable handle: NewSolver(cfg)
 // validates the configuration once and owns every arena a solve needs
 // (level state, generator builders, solver workspaces, interaction

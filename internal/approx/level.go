@@ -77,12 +77,54 @@ func (lv *level) decode(idx int) (q, s, o, a int) {
 	return q, s, lv.oaList[oa][0], lv.oaList[oa][1]
 }
 
-// queueCap picks the truncation level for q: beyond it the admission
-// probability has decayed to numerical zero even with every shared VM
-// assisting the SC.
-func queueCap(sc cloud.SC, pool int) int {
-	m := float64(sc.VMs+pool) * sc.ServiceRate * sc.SLA
+// queueTailEps is the steady-mass bound at which queueCap cuts the queue:
+// the unit roundoff of a double, so the first row cut off is lost next to
+// the level's total mass of one.
+const queueTailEps = 0x1p-53
+
+// queueCapLimit is the largest truncation level queueCap returns: a 6σ
+// margin on the admission window's Poisson count with every modeled shared
+// VM assisting the SC, past which P^NF has decayed to numerical zero.
+func queueCapLimit(sc cloud.SC, poolDim int) int {
+	m := float64(sc.VMs+poolDim) * sc.ServiceRate * sc.SLA
 	return sc.VMs + int(math.Ceil(m+6*math.Sqrt(m))) + 4
+}
+
+// queueCap picks the truncation level qmax for q from the level's own
+// rates: the first q >= VMs at which a flux bound on the steady mass of
+// row q+1 falls below queueTailEps, never above queueCapLimit.
+//
+// The bound is flux balance across the cut between rows q and q+1 (row q
+// is every state with that q). Every transition of build moves q by at
+// most one: C1 (only reachable at q < VMs) and C3 raise it; every C4
+// branch and C5's "own queue keeps the VM busy" lower it; C2, the other
+// C5 branches and the successor-demand process leave it. For q >= VMs the
+// only upward move is C3, at rate at most λ·pNoForward(q, s, o), whose
+// maximum over s and o is at s = 0, o = poolDim:
+// PNoForward(q+poolDim, VMs+poolDim, μ, SLA). Every state of row q+1 > VMs
+// has VMs-s >= VMs-share busy local VMs, each of whose departures (C4)
+// lowers q, so the down-flux is at least π(q+1)·(VMs-share)·μ. In steady
+// state the two fluxes are equal, so π(q+1) <= π(q)·r(q) with
+// r(q) = λ·PNoForward(q+poolDim, VMs+poolDim, μ, SLA) / ((VMs-share)·μ),
+// and from π(VMs) <= 1 the running product b(q) = min(1, b(q-1)·r(q))
+// bounds π(q+1). The truncation itself (q >= qmax forwards every C3
+// arrival) only removes up-flux, so the rows it keeps obey the same bound.
+// With share == VMs no local departure is guaranteed and the limit is
+// returned.
+func queueCap(sc cloud.SC, share, poolDim int) int {
+	limit := queueCapLimit(sc, poolDim)
+	down := float64(sc.VMs-share) * sc.ServiceRate
+	if down <= 0 {
+		return limit
+	}
+	b := 1.0
+	for q := sc.VMs; q < limit; q++ {
+		up := sc.ArrivalRate * queueing.PNoForward(q+poolDim, sc.VMs+poolDim, sc.ServiceRate, sc.SLA)
+		if b = min(1, b*up/down); b < queueTailEps {
+			return q
+		}
+	}
+	return limit
 }
 
 // reset re-dimensions the level scaffolding in place. poolDim <= pool
@@ -93,7 +135,7 @@ func (lv *level) reset(sc cloud.SC, share, pool, poolDim int) {
 		poolDim = pool
 	}
 	sameGrid := lv.oaIdx != nil && lv.poolDim == poolDim
-	lv.sc, lv.share, lv.pool, lv.poolDim, lv.qmax = sc, share, pool, poolDim, queueCap(sc, poolDim)
+	lv.sc, lv.share, lv.pool, lv.poolDim, lv.qmax = sc, share, pool, poolDim, queueCap(sc, share, poolDim)
 	_, _, dim := lv.summaryStrides()
 	lv.iter.reset(share+poolDim+1, dim)
 	if sameGrid {

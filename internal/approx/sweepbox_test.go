@@ -103,44 +103,46 @@ func metricsDigest(ms []cloud.Metrics) uint64 {
 
 // TestSweepBoxBitIdentity pins the approx kernel's output across commits:
 // the solver's arena layout, generator assembly and iterate reuse may
-// change, its floats may not. The constants were re-recorded once, when
-// markov's Gauss-Seidel solver began over-relaxing (which moves the
-// steady-state floats by less than the solver tolerance; see
-// TestSweepBoxRelaxedAccuracy); every kernel change since must reproduce
-// them bit for bit, and so must the truncation account and the
-// steady-state iteration count. amd64 only: other architectures may fuse
-// multiply-adds and round differently.
+// change, its floats may not. The constants were re-recorded twice, each
+// time for a change that moves the steady-state floats by less than the
+// solver tolerance (see TestSweepBoxRelaxedAccuracy): when markov's
+// Gauss-Seidel solver began over-relaxing, and when queueCap began
+// cutting each level's queue at a flux bound on its steady tail instead
+// of a fixed 6σ margin (see TestQueueCapTailMass). Every kernel change
+// since must reproduce them bit for bit, and so must the truncation
+// account and the steady-state iteration count. amd64 only: other
+// architectures may fuse multiply-adds and round differently.
 func TestSweepBoxBitIdentity(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
 	want := map[string]uint64{
-		"[1 1 0]": 0x1904b904e787e696,
-		"[2 1 0]": 0xc3f0c4b16385ec56,
-		"[1 2 0]": 0xaf4c17749494c7cf,
-		"[2 2 0]": 0x17e241899fcc22d7,
-		"[1 0 1]": 0xd837f1d64f70a1b4,
-		"[2 0 1]": 0xfd7ee9ebb42a0bf8,
-		"[0 1 1]": 0xe4d821961b36c71,
-		"[1 1 1]": 0xee4228a764eebab2,
-		"[2 1 1]": 0x4e408662df3101e7,
-		"[0 2 1]": 0xc9339895aa61eead,
-		"[1 2 1]": 0xfa85c9e62c15be18,
-		"[2 2 1]": 0xdb3c85d153c348f0,
-		"[1 0 2]": 0x7e82f966eee12738,
-		"[2 0 2]": 0x6853b675a64061b9,
-		"[0 1 2]": 0xe7a36f6ea4c646fa,
-		"[1 1 2]": 0xa9c267fdbcf49158,
-		"[2 1 2]": 0x51edf8e21749eebf,
-		"[0 2 2]": 0xf17f411f2ff5a410,
-		"[1 2 2]": 0x645c7494c942807e,
-		"[2 2 2]": 0x144f29b555ea0cc0,
+		"[1 1 0]": 0x8e467c0057177163,
+		"[2 1 0]": 0xb769b4eaeae4d500,
+		"[1 2 0]": 0x5a15d5e040c6ede0,
+		"[2 2 0]": 0x1d4385cac588a7c6,
+		"[1 0 1]": 0x68a083d25e3174d8,
+		"[2 0 1]": 0x76e275d2a011cbc9,
+		"[0 1 1]": 0xf39dd1ca68d94c26,
+		"[1 1 1]": 0x43376345993b0823,
+		"[2 1 1]": 0xb405fd574a357a7,
+		"[0 2 1]": 0x281f95b6124e0ea8,
+		"[1 2 1]": 0x2fc85175d37d7f5d,
+		"[2 2 1]": 0x17a09b8d73d0d033,
+		"[1 0 2]": 0x6d35f2c058a6d7ec,
+		"[2 0 2]": 0xc259e91174dfd4bf,
+		"[0 1 2]": 0x761ae49145e26e43,
+		"[1 1 2]": 0x8c9cd0c9741db2d7,
+		"[2 1 2]": 0x93158c85f5943b39,
+		"[0 2 2]": 0xb5fc865c7047fff8,
+		"[1 2 2]": 0xc01e66fb1177e106,
+		"[2 2 2]": 0x9398d453f986759e,
 	}
 	const (
-		wantTotalMass  = 0x3dd8dedb96e8037e
-		wantMaxMass    = 0x3db66b526e0d0957
+		wantTotalMass  = 0x3dd8dedb96eb2214
+		wantMaxMass    = 0x3db66b526e0efd58
 		wantJoints     = 22
-		wantIterations = 4446
+		wantIterations = 4136
 		wantSolves     = 82
 	)
 	box := sweepBox()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -145,6 +146,16 @@ func TestDeadlineMsShortensCap(t *testing.T) {
 		t.Fatalf("effective timeout = %v, want the server cap", timeout)
 	} else {
 		cancel()
+	}
+	// Far longer than the cap, up to values whose nanoseconds overflow
+	// int64: the cap still wins.
+	for _, ms := range []int64{9223372036855, 1 << 62, math.MaxInt64} {
+		if _, cancel, timeout := s.solveContext(req, ms); timeout != time.Hour {
+			cancel()
+			t.Fatalf("deadlineMs %d: effective timeout = %v, want the server cap", ms, timeout)
+		} else {
+			cancel()
+		}
 	}
 	// No server cap: the request deadline is the only bound.
 	uncapped := New(Options{})

@@ -149,11 +149,13 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 // (so a client disconnect cancels the worker-pool rounds) capped by the
 // effective timeout — the server's solve timeout, shortened (never
 // extended) by the request's deadlineMs override. The effective timeout is
-// returned for error messages; 0 means uncapped.
+// returned for error messages; 0 means uncapped. A deadlineMs too large
+// for a time.Duration is clamped to the longest one instead of wrapping,
+// so it too leaves the server cap in place.
 func (s *Server) solveContext(r *http.Request, deadlineMs int64) (context.Context, context.CancelFunc, time.Duration) {
 	timeout := s.solveTimeout
 	if deadlineMs > 0 {
-		if d := time.Duration(deadlineMs) * time.Millisecond; timeout == 0 || d < timeout {
+		if d := time.Duration(min(deadlineMs, maxDurationMs)) * time.Millisecond; timeout == 0 || d < timeout {
 			timeout = d
 		}
 	}
@@ -164,6 +166,11 @@ func (s *Server) solveContext(r *http.Request, deadlineMs int64) (context.Contex
 	ctx, cancel := context.WithCancel(r.Context())
 	return ctx, cancel, 0
 }
+
+// maxDurationMs is the largest whole number of milliseconds a
+// time.Duration holds; a millisecond count above it overflows int64
+// nanoseconds when converted.
+const maxDurationMs = math.MaxInt64 / int64(time.Millisecond)
 
 // validDeadline rejects a negative deadlineMs before it silently disables
 // the server cap (solveContext only applies positive overrides).

@@ -142,8 +142,8 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.IntervalMs < 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad intervalMs %d: want milliseconds >= 0", req.IntervalMs))
+	if req.IntervalMs < 0 || req.IntervalMs > maxDurationMs {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad intervalMs %d: want milliseconds in [0, %d]", req.IntervalMs, maxDurationMs))
 		return
 	}
 	if err := validDeadline(req.DeadlineMs); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -151,19 +152,24 @@ func TestTrackSSE(t *testing.T) {
 func TestTrackValidation(t *testing.T) {
 	s := New(Options{})
 	bad := []struct {
-		name string
-		req  trackRequest
+		name  string
+		req   trackRequest
+		names string // a field the error must name, if set
 	}{
-		{"no prices", trackRequest{federationSpec: testSpec()}},
-		{"negative price", trackRequest{federationSpec: testSpec(), Prices: []float64{0.3, -1}}},
-		{"negative interval", trackRequest{federationSpec: testSpec(), Prices: []float64{0.3}, IntervalMs: -5}},
-		{"negative deadline", trackRequest{federationSpec: testSpec(), Prices: []float64{0.3}, DeadlineMs: -1}},
-		{"bad alpha", trackRequest{federationSpec: testSpec(), Prices: []float64{0.3}, Alpha: "bogus"}},
+		{"no prices", trackRequest{federationSpec: testSpec()}, ""},
+		{"negative price", trackRequest{federationSpec: testSpec(), Prices: []float64{0.3, -1}}, ""},
+		{"negative interval", trackRequest{federationSpec: testSpec(), Prices: []float64{0.3}, IntervalMs: -5}, "intervalMs"},
+		// Its nanoseconds overflow int64, which would wrap to no pacing.
+		{"overflowing interval", trackRequest{federationSpec: testSpec(), Prices: []float64{0.3}, IntervalMs: math.MaxInt64}, "intervalMs"},
+		{"negative deadline", trackRequest{federationSpec: testSpec(), Prices: []float64{0.3}, DeadlineMs: -1}, "deadlineMs"},
+		{"bad alpha", trackRequest{federationSpec: testSpec(), Prices: []float64{0.3}, Alpha: "bogus"}, ""},
 	}
 	for _, tc := range bad {
 		rec := postJSON(t, s, "/v1/track", tc.req)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (%s)", tc.name, rec.Code, rec.Body)
+		} else if !strings.Contains(rec.Body.String(), tc.names) {
+			t.Errorf("%s: error %s does not name %s", tc.name, rec.Body, tc.names)
 		}
 	}
 	// An inverted price mid-schedule fails the solve, not validation: the

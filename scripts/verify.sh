@@ -35,12 +35,13 @@ fi
 
 # Kernel bits and solver accuracy, uninstrumented: the recorded sweep-box
 # bits, handle reuse and the sparse kernels against their reference loops;
-# the sweep box's metrics against a tight-tolerance solve, and the
-# Gauss-Seidel solver against its reference loop's fixed point. A kernel
-# change that moves one bit, or a solver change that loses accuracy, fails
-# here in seconds instead of after the race suite.
+# the sweep box's metrics against a tight-tolerance solve, the queue cap's
+# flux bound and the steady tail it cuts off, and the Gauss-Seidel solver
+# against its reference loop's fixed point. A kernel change that moves one
+# bit, or a solver or truncation change that loses accuracy, fails here in
+# seconds instead of after the race suite.
 echo "==> kernel bits and solver accuracy"
-go test -count=1 -run 'TestSweepBoxBitIdentity|TestSweepBoxRelaxedAccuracy|TestSolverReuseBitIdentical|TestGaussSeidelMatchesReference|TestMulVecTToMatchesNaive|TestBuildOrderIndependentProperty' \
+go test -count=1 -run 'TestSweepBoxBitIdentity|TestSweepBoxRelaxedAccuracy|TestQueueCapFluxBound|TestQueueCapTailMass|TestSolverReuseBitIdentical|TestGaussSeidelMatchesReference|TestMulVecTToMatchesNaive|TestBuildOrderIndependentProperty' \
     ./internal/approx/ ./internal/markov/ ./internal/sparse/
 
 # perfbench is a module of its own, so ./... above does not reach it. Its
