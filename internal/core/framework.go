@@ -51,13 +51,9 @@ type Config struct {
 	MaxShares []int
 	// Approx tunes the approximate model (queue caps, pruning, passes).
 	Approx approx.Config
-	// SimHorizon, SimWarmup and SimSeed configure ModelSim.
-	SimHorizon, SimWarmup float64
-	SimSeed               int64
-	// AllowFreeRiding lets SCs with S_i = 0 keep borrowing from the
-	// federation. The default (false) follows the paper: participation
-	// requires contributing VMs, so a zero share means standing alone.
-	AllowFreeRiding bool
+	// SimHorizon and SimSeed configure ModelSim.
+	SimHorizon float64
+	SimSeed    int64
 }
 
 // Framework is a configured SC-Share instance.
@@ -104,7 +100,6 @@ func New(cfg Config) (*Framework, error) {
 	opts := market.EvaluatorOptions{
 		Approx:     cfg.Approx,
 		SimHorizon: cfg.SimHorizon,
-		SimWarmup:  cfg.SimWarmup,
 		SimSeed:    cfg.SimSeed,
 	}
 	if opts.Approx.Warm == nil {
@@ -138,11 +133,9 @@ func New(cfg Config) (*Framework, error) {
 		}
 		return ev
 	}
-	if cfg.AllowFreeRiding {
-		f.eval = market.Memoize(mkEval(cfg.Federation))
-	} else {
-		f.eval = market.Memoize(market.WithParticipation(cfg.Federation, mkEval))
-	}
+	// Participation requires contributing VMs, as in the paper: an SC with
+	// S_i = 0 stands alone, neither lending nor borrowing.
+	f.eval = market.Memoize(market.WithParticipation(cfg.Federation, mkEval))
 	return f, nil
 }
 

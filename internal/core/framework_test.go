@@ -137,7 +137,6 @@ func TestSimModelEvaluator(t *testing.T) {
 		Federation: tinyFed(),
 		Model:      ModelSim,
 		SimHorizon: 4000,
-		SimWarmup:  200,
 		SimSeed:    5,
 	})
 	if err != nil {

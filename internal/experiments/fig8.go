@@ -150,7 +150,7 @@ func Fig8b(opts Fig8bOptions) (Figure, error) {
 			}
 			g := &market.Game{
 				Federation:   fed,
-				Evaluator:    market.Memoize(fluid.NewEvaluator(fed, fluid.Options{})),
+				Evaluator:    market.Memoize(fluid.NewEvaluator(fed)),
 				Gamma:        opts.Gamma,
 				TabuDistance: dist,
 				MaxRounds:    100,

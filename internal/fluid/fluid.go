@@ -28,28 +28,16 @@ import (
 // ErrNoConvergence is returned when the fixed point fails to settle.
 var ErrNoConvergence = errors.New("fluid: fixed point did not converge")
 
-// Options tunes the fixed-point iteration.
-type Options struct {
-	// Damping in (0, 1]: fraction of the new iterate mixed in per step
-	// (default 0.5).
-	Damping float64
-	// Tol is the max-abs convergence threshold (default 1e-9).
-	Tol float64
-	// MaxIter bounds the iteration count (default 500).
-	MaxIter int
-}
-
-func (o *Options) defaults() {
-	if o.Damping <= 0 || o.Damping > 1 {
-		o.Damping = 0.5
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 500
-	}
-}
+// The fixed-point iteration's settings.
+const (
+	// damping is the fraction of the new iterate mixed in per step.
+	damping = 0.5
+	// tol is the max-abs convergence threshold on the borrow and lend
+	// vectors.
+	tol = 1e-9
+	// maxIter bounds the iteration count.
+	maxIter = 500
+)
 
 // fpKey addresses one cached Sect. III-A solve: an SC with a quantized
 // lent load folded into its arrival stream.
@@ -66,8 +54,7 @@ type fpKey struct {
 // safe for concurrent use and implements both market evaluator shapes
 // (per-target Evaluate and whole-vector EvaluateAll).
 type Evaluator struct {
-	fed  cloud.Federation
-	opts Options
+	fed cloud.Federation
 
 	mu sync.Mutex
 	// fpCache is guarded by mu; see forwardProb.
@@ -77,9 +64,8 @@ type Evaluator struct {
 // NewEvaluator validates nothing eagerly (Solve revalidates per call) and
 // returns an evaluator sharing one forwarding-probability cache across all
 // subsequent solves.
-func NewEvaluator(fed cloud.Federation, opts Options) *Evaluator {
-	opts.defaults()
-	return &Evaluator{fed: fed, opts: opts, fpCache: make(map[fpKey]float64)}
+func NewEvaluator(fed cloud.Federation) *Evaluator {
+	return &Evaluator{fed: fed, fpCache: make(map[fpKey]float64)}
 }
 
 // forwardProb returns the no-sharing forwarding probability of SC i with
@@ -124,13 +110,13 @@ func (e *Evaluator) Evaluate(shares []int, target int) (cloud.Metrics, error) {
 // Solve runs the fixed point with a fresh cache and returns per-SC
 // metrics. Sweeps should construct one Evaluator instead, so the
 // no-sharing solves carry over between calls.
-func Solve(fed cloud.Federation, shares []int, opts Options) ([]cloud.Metrics, error) {
-	return NewEvaluator(fed, opts).EvaluateAll(shares)
+func Solve(fed cloud.Federation, shares []int) ([]cloud.Metrics, error) {
+	return NewEvaluator(fed).EvaluateAll(shares)
 }
 
 // EvaluateAll runs the fixed point and returns every SC's metrics.
 func (e *Evaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
-	fed, opts := e.fed, e.opts
+	fed := e.fed
 	if err := fed.Validate(); err != nil {
 		return nil, fmt.Errorf("fluid: %w", err)
 	}
@@ -145,7 +131,7 @@ func (e *Evaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
 	overflow := make([]float64, k)
 	forwardProb := e.forwardProb
 
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		// Overflow demand and idle supply under the current allocation.
 		// Overflow uses the same SLA-driven no-sharing model as the
 		// baseline costs (Sect. III-A), with the lent load folded into the
@@ -199,13 +185,13 @@ func (e *Evaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
 
 		delta := 0.0
 		for i := range fed.SCs {
-			nb := (1-opts.Damping)*borrow[i] + opts.Damping*newBorrow[i]
-			nl := (1-opts.Damping)*lend[i] + opts.Damping*newLend[i]
+			nb := (1-damping)*borrow[i] + damping*newBorrow[i]
+			nl := (1-damping)*lend[i] + damping*newLend[i]
 			delta = math.Max(delta, math.Abs(nb-borrow[i]))
 			delta = math.Max(delta, math.Abs(nl-lend[i]))
 			borrow[i], lend[i] = nb, nl
 		}
-		if delta < opts.Tol {
+		if delta < tol {
 			return metricsOf(fed, overflow, borrow, lend), nil
 		}
 	}
@@ -234,12 +220,4 @@ func metricsOf(fed cloud.Federation, overflow, borrow, lend []float64) []cloud.M
 		}
 	}
 	return out
-}
-
-// Evaluate adapts the fluid model to the market evaluator signature. The
-// returned closure shares one Evaluator, so its no-sharing cache persists
-// across calls; prefer NewEvaluator directly where the whole-vector
-// EvaluateAll shape matters (Memoize detects it).
-func Evaluate(fed cloud.Federation, opts Options) func(shares []int, target int) (cloud.Metrics, error) {
-	return NewEvaluator(fed, opts).Evaluate
 }

@@ -21,16 +21,16 @@ func fed3() cloud.Federation {
 }
 
 func TestSolveValidation(t *testing.T) {
-	if _, err := Solve(cloud.Federation{}, nil, Options{}); err == nil {
+	if _, err := Solve(cloud.Federation{}, nil); err == nil {
 		t.Error("empty federation accepted")
 	}
-	if _, err := Solve(fed3(), []int{1}, Options{}); err == nil {
+	if _, err := Solve(fed3(), []int{1}); err == nil {
 		t.Error("short share vector accepted")
 	}
 }
 
 func TestConservation(t *testing.T) {
-	ms, err := Solve(fed3(), []int{3, 3, 3}, Options{})
+	ms, err := Solve(fed3(), []int{3, 3, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestConservation(t *testing.T) {
 }
 
 func TestZeroSharesNoFlows(t *testing.T) {
-	ms, err := Solve(fed3(), []int{0, 0, 0}, Options{})
+	ms, err := Solve(fed3(), []int{0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestZeroSharesNoFlows(t *testing.T) {
 }
 
 func TestSharingReducesForwarding(t *testing.T) {
-	alone, err := Solve(fed3(), []int{0, 0, 0}, Options{})
+	alone, err := Solve(fed3(), []int{0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := Solve(fed3(), []int{4, 4, 4}, Options{})
+	shared, err := Solve(fed3(), []int{4, 4, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRoughAgreementWithSimulator(t *testing.T) {
 	}
 	fed := fed3()
 	shares := []int{2, 2, 4}
-	ms, err := Solve(fed, shares, Options{})
+	ms, err := Solve(fed, shares)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestMetricsRangeProperty(t *testing.T) {
 	fed := fed3()
 	f := func(a, b, c uint8) bool {
 		shares := []int{int(a) % 11, int(b) % 11, int(c) % 11}
-		ms, err := Solve(fed, shares, Options{})
+		ms, err := Solve(fed, shares)
 		if err != nil {
 			return false
 		}
@@ -137,8 +137,7 @@ func TestMetricsRangeProperty(t *testing.T) {
 }
 
 func TestEvaluateAdapter(t *testing.T) {
-	ev := Evaluate(fed3(), Options{})
-	m, err := ev([]int{1, 1, 1}, 2)
+	m, err := NewEvaluator(fed3()).Evaluate([]int{1, 1, 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

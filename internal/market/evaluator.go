@@ -90,12 +90,12 @@ func ParseKind(name string) (Kind, error) {
 	}
 }
 
-// Default simulation parameters used when EvaluatorOptions leaves them
-// zero: the horizon is long enough for the Fig. 5 workloads to mix, and the
-// warmup discards the leading transient.
+// Simulation parameters: the default horizon, used when EvaluatorOptions
+// leaves SimHorizon zero, is long enough for the Fig. 5 workloads to mix,
+// and the warmup (horizon/simWarmupDivisor) discards the leading transient.
 const (
-	defaultSimHorizon       = 20000
-	defaultSimWarmupDivisor = 20
+	defaultSimHorizon = 20000
+	simWarmupDivisor  = 20
 )
 
 // EvaluatorOptions carries the per-model tuning of NewEvaluator. Only the
@@ -107,14 +107,11 @@ type EvaluatorOptions struct {
 	// follows the ApproxEvaluator ownership rule (nil means an
 	// evaluator-private cache).
 	Approx approx.Config
-	// SimHorizon, SimWarmup, and SimSeed configure the discrete-event
-	// simulator (KindSim); zero horizon and warmup pick the package
-	// defaults.
+	// SimHorizon and SimSeed configure the discrete-event simulator
+	// (KindSim); a zero horizon picks the package default. The simulator
+	// discards the first horizon/20 as warmup.
 	SimHorizon float64
-	SimWarmup  float64
 	SimSeed    int64
-	// Fluid configures the fluid fixed point (KindFluid).
-	Fluid fluid.Options
 }
 
 // NewEvaluator is the single construction surface for the performance
@@ -133,13 +130,9 @@ func NewEvaluator(kind Kind, fed cloud.Federation, opts EvaluatorOptions) (AllEv
 		if horizon <= 0 {
 			horizon = defaultSimHorizon
 		}
-		warmup := opts.SimWarmup
-		if warmup <= 0 {
-			warmup = horizon / defaultSimWarmupDivisor
-		}
-		return SimEvaluator(fed, horizon, warmup, opts.SimSeed), nil
+		return SimEvaluator(fed, horizon, horizon/simWarmupDivisor, opts.SimSeed), nil
 	case KindFluid:
-		return fluid.NewEvaluator(fed, opts.Fluid), nil
+		return fluid.NewEvaluator(fed), nil
 	default:
 		return nil, fmt.Errorf("market: invalid evaluator kind %v", kind)
 	}

@@ -140,7 +140,7 @@ func TestGameParallelMatchesSerial(t *testing.T) {
 		mk   func() Evaluator
 	}{
 		{"toy", func() Evaluator { return Memoize(newToyEvaluator(t, fed)) }},
-		{"fluid", func() Evaluator { return Memoize(fluid.NewEvaluator(fed, fluid.Options{})) }},
+		{"fluid", func() Evaluator { return Memoize(fluid.NewEvaluator(fed)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for ii, init := range initials {

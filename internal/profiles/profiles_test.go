@@ -28,7 +28,7 @@ func twoProfiles() []Profile {
 }
 
 func fluidEval(p Profile, shares []int, target int) (cloud.Metrics, error) {
-	return fluid.Evaluate(p.Federation, fluid.Options{})(shares, target)
+	return fluid.NewEvaluator(p.Federation).Evaluate(shares, target)
 }
 
 func TestNewSetValidation(t *testing.T) {
@@ -85,7 +85,7 @@ func TestNegotiatePerProfileEquilibria(t *testing.T) {
 	rep, outs, err := set.Negotiate(func(p Profile) *market.Game {
 		return &market.Game{
 			Federation: p.Federation,
-			Evaluator:  market.Memoize(market.EvaluatorFunc(fluid.Evaluate(p.Federation, fluid.Options{}))),
+			Evaluator:  market.Memoize(market.EvaluatorFunc(fluid.NewEvaluator(p.Federation).Evaluate)),
 			Gamma:      market.UF0,
 		}
 	})

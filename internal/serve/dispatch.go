@@ -3,10 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"net/http"
-	"time"
 
 	"scshare/internal/core"
 	"scshare/internal/fleet"
@@ -21,98 +17,38 @@ func toWF(vs []float64) []fleet.WF {
 	return out
 }
 
-// dispatchSweep is /v1/sweep in dispatch mode: instead of solving the grid
+// dispatchSweep is /v1/sweep's grid in dispatch mode: instead of solving
 // on the local worker pool it submits the sweep to the scdispatch fleet and
-// streams the merged points back in grid order — same NDJSON lines, same
-// trailer, same admission and timeout semantics as the local path, so
-// clients cannot tell the modes apart (except that points always solve
-// cold; see sweepRequest.ColdStart). The request holds its admission slot
-// for the whole fan-out: it is one continuous consumer of fleet capacity.
-// If the client disconnects mid-stream the watch loop stops, but points the
-// fleet already queued keep solving — leases simply drain; nothing waits on
-// this request.
-func (s *Server) dispatchSweep(w http.ResponseWriter, r *http.Request, req *sweepRequest, alphaVals []float64, alphaNames []string) {
+// hands the merged points to the stream in grid order, so clients cannot
+// tell the modes apart (except that points always solve cold; see
+// sweepRequest.ColdStart). The request holds its admission slot for the
+// whole fan-out: it is one continuous consumer of fleet capacity. If the
+// client disconnects mid-stream the watch loop stops, but points the fleet
+// already queued keep solving — leases simply drain; nothing waits on this
+// request.
+func (s *Server) dispatchSweep(req *sweepRequest, alphaVals []float64) (sweepRun, error) {
 	s.metrics.dispatched.Add(1)
 	// The normalized spec's canonical JSON is both the submission body and
 	// every worker's framework-cache key.
 	key, err := req.Key()
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-
-	release, ok := s.adm.acquire(r.Context(), &s.metrics)
-	if !ok {
-		s.shed(w)
-		return
-	}
-	defer release()
-	ctx, cancel, timeout := s.solveContext(r, req.DeadlineMs)
-	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	// writeLine runs inside RunSweep's onPoint callback or after it has
-	// returned — never both at once — so the ResponseWriter sees one writer
-	// at a time, exactly like the local sweep path.
-	var writeErr error
-	writeLine := func(v any) {
-		if writeErr != nil {
-			return
-		}
-		if err := enc.Encode(v); err != nil {
-			writeErr = err
-			cancel()
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	total := len(req.Ratios)
-	s.metrics.inFlight.Add(1)
-	defer s.metrics.inFlight.Add(-1) // deferred: a panicking path must not wedge the gauge
-	solveStart := time.Now()
-	wirePts, err := s.dispatch.RunSweep(ctx, fleet.SubmitRequest{
+	sub := fleet.SubmitRequest{
 		Spec:   json.RawMessage(key),
 		Ratios: toWF(req.Ratios),
 		Alphas: toWF(alphaVals),
-	}, func(wp fleet.WirePoint) {
-		s.metrics.sweepPoints.Add(1)
-		pt := wp.Point()
-		s.metrics.solveRounds.Add(int64(pt.Rounds))
-		writeLine(sweepLine{
-			Index:      wp.Index,
-			Total:      total,
-			Ratio:      pt.Ratio,
-			Price:      pt.Price,
-			Shares:     pt.Shares,
-			Utilities:  fptrs(pt.Utilities),
-			Alphas:     alphaNames,
-			Welfare:    fptrs(pt.Welfare),
-			Efficiency: fptrs(pt.Efficiency),
-			Rounds:     pt.Rounds,
-			Converged:  pt.Converged,
-		})
-	})
-	s.adm.observe(time.Since(solveStart))
-	if err != nil {
-		if writeErr != nil || clientGone(r, err) {
-			s.metrics.canceled.Add(1)
-			return
-		}
-		s.metrics.errors.Add(1)
-		msg := err.Error()
-		if errors.Is(err, context.DeadlineExceeded) {
-			msg = fmt.Sprintf("sweep exceeded the effective %v timeout", timeout)
-		}
-		writeLine(sweepTrailer{Error: msg})
-		return
 	}
-	pts := make([]core.SweepPoint, len(wirePts))
-	for i, wp := range wirePts {
-		pts[i] = wp.Point()
-	}
-	writeLine(sweepTrailer{Done: true, Points: len(pts), Warnings: core.Diagnose(pts)})
+	return func(ctx context.Context, onPoint func(int, core.SweepPoint)) ([]core.SweepPoint, []string, error) {
+		// RunSweep hands over every point once, in grid order.
+		var pts []core.SweepPoint
+		if _, err := s.dispatch.RunSweep(ctx, sub, func(wp fleet.WirePoint) {
+			pt := wp.Point()
+			pts = append(pts, pt)
+			onPoint(wp.Index, pt)
+		}); err != nil {
+			return nil, nil, err
+		}
+		return pts, nil, nil
+	}, nil
 }

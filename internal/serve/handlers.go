@@ -356,18 +356,49 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
+	var run sweepRun
 	if s.dispatch != nil {
 		// Fleet mode: same validation, admission, and stream shape — the
 		// grid just solves on scworkd workers instead of this process.
-		s.dispatchSweep(w, r, &req, alphaVals, alphaNames)
-		return
+		run, err = s.dispatchSweep(&req, alphaVals)
+	} else {
+		run, err = s.localSweep(&req, alphaVals)
 	}
-	fw, err := s.framework(&req.federationSpec)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
+	s.streamSweep(w, r, &req, alphaNames, run)
+}
 
+// sweepRun solves a sweep's grid under ctx, calling onPoint with each
+// finished point and its grid index, one call at a time. It returns the
+// points in grid order plus any trailer warnings beyond core.Diagnose's.
+type sweepRun func(ctx context.Context, onPoint func(int, core.SweepPoint)) ([]core.SweepPoint, []string, error)
+
+// localSweep solves the grid on this process's framework and worker pool.
+func (s *Server) localSweep(req *sweepRequest, alphaVals []float64) (sweepRun, error) {
+	fw, err := s.framework(&req.federationSpec)
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context, onPoint func(int, core.SweepPoint)) ([]core.SweepPoint, []string, error) {
+		pts, err := fw.SweepContext(ctx, req.Ratios, alphaVals, nil, core.SweepOptions{
+			Workers:   sweepWorkers(req.Workers),
+			WarmStart: !req.ColdStart,
+			OnPoint:   onPoint,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return pts, core.DiagnosePruning(fw.PruneStats()), nil
+	}, nil
+}
+
+// streamSweep is the /v1/sweep stream of both modes: one admission slot
+// and the effective timeout cover the whole run, and its points and
+// trailer stream as handleSweep describes.
+func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *sweepRequest, alphaNames []string, run sweepRun) {
 	release, ok := s.adm.acquire(r.Context(), &s.metrics)
 	if !ok {
 		s.shed(w)
@@ -376,72 +407,50 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel, timeout := s.solveContext(r, req.DeadlineMs)
 	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	// writeLine runs either inside the sweep's OnPoint callback — which the
-	// driver serializes — or after SweepContext has returned; the two never
-	// overlap, so the ResponseWriter sees one writer at a time. The first
-	// encoder/write error cancels the solve context: the client is gone, so
-	// burning CPU streaming the rest of the grid to a dead connection would
-	// be pure waste.
-	var writeErr error
-	writeLine := func(v any) {
-		if writeErr != nil {
-			return
-		}
-		if err := enc.Encode(v); err != nil {
-			writeErr = err
-			cancel()
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	sw := newStreamWriter(w, false) // NDJSON: /v1/sweep has no SSE form
 
 	total := len(req.Ratios)
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1) // deferred: a panicking solve must not wedge the gauge
 	solveStart := time.Now()
-	pts, err := fw.SweepContext(ctx, req.Ratios, alphaVals, nil, core.SweepOptions{
-		Workers:   sweepWorkers(req.Workers),
-		WarmStart: !req.ColdStart,
-		OnPoint: func(i int, pt core.SweepPoint) {
-			s.metrics.sweepPoints.Add(1)
-			s.metrics.solveRounds.Add(int64(pt.Rounds))
-			writeLine(sweepLine{
-				Index:      i,
-				Total:      total,
-				Ratio:      pt.Ratio,
-				Price:      pt.Price,
-				Shares:     pt.Shares,
-				Utilities:  fptrs(pt.Utilities),
-				Alphas:     alphaNames,
-				Welfare:    fptrs(pt.Welfare),
-				Efficiency: fptrs(pt.Efficiency),
-				Rounds:     pt.Rounds,
-				Converged:  pt.Converged,
-			})
-		},
+	// onPoint runs one call at a time and never after run returns, so the
+	// ResponseWriter sees one writer at a time. The first failed write
+	// cancels the solve: the client is gone, so solving the rest of the
+	// grid for a dead connection would be pure waste.
+	pts, warnings, err := run(ctx, func(i int, pt core.SweepPoint) {
+		s.metrics.sweepPoints.Add(1)
+		s.metrics.solveRounds.Add(int64(pt.Rounds))
+		if !sw.write(sweepLine{
+			Index:      i,
+			Total:      total,
+			Ratio:      pt.Ratio,
+			Price:      pt.Price,
+			Shares:     pt.Shares,
+			Utilities:  fptrs(pt.Utilities),
+			Alphas:     alphaNames,
+			Welfare:    fptrs(pt.Welfare),
+			Efficiency: fptrs(pt.Efficiency),
+			Rounds:     pt.Rounds,
+			Converged:  pt.Converged,
+		}) {
+			cancel()
+		}
 	})
 	s.adm.observe(time.Since(solveStart))
-	if err != nil {
-		if writeErr != nil || clientGone(r, err) {
-			// Nobody is listening; just unwind.
-			s.metrics.canceled.Add(1)
-			return
-		}
+	switch {
+	case sw.err() != nil || clientGone(r, err):
+		// Nobody is listening; just unwind.
+		s.metrics.canceled.Add(1)
+	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.errors.Add(1)
-		msg := err.Error()
-		if errors.Is(err, context.DeadlineExceeded) {
-			msg = fmt.Sprintf("sweep exceeded the effective %v timeout", timeout)
-		}
-		writeLine(sweepTrailer{Error: msg})
-		return
+		sw.write(sweepTrailer{Error: fmt.Sprintf("sweep exceeded the effective %v timeout", timeout)})
+	case err != nil:
+		s.metrics.errors.Add(1)
+		sw.write(sweepTrailer{Error: err.Error()})
+	default:
+		sw.write(sweepTrailer{Done: true, Points: len(pts),
+			Warnings: append(core.Diagnose(pts), warnings...)})
 	}
-	writeLine(sweepTrailer{Done: true, Points: len(pts),
-		Warnings: append(core.Diagnose(pts), core.DiagnosePruning(fw.PruneStats())...)})
 }
 
 // handleHealthz answers liveness probes.

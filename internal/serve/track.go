@@ -60,10 +60,9 @@ type trackTrailer struct {
 	Error string `json:"error,omitempty"`
 }
 
-// streamWriter serializes stream elements as NDJSON (default) or SSE
-// (when the client asks for text/event-stream), flushing after each
-// element. The first write error is sticky and reported through err() —
-// the signal that the client stopped listening.
+// streamWriter serializes stream elements as NDJSON or SSE, flushing
+// after each element. The first write error is sticky and reported
+// through err() — the signal that the client stopped listening.
 type streamWriter struct {
 	w        http.ResponseWriter
 	flusher  http.Flusher
@@ -71,14 +70,13 @@ type streamWriter struct {
 	writeErr error
 }
 
-// newStreamWriter picks the stream format from the request's Accept header
-// and sets the response Content-Type. SSE frames each element as one
-// `data:` event; NDJSON is one JSON object per line, like /v1/sweep.
-func newStreamWriter(w http.ResponseWriter, r *http.Request) *streamWriter {
-	sw := &streamWriter{w: w}
+// newStreamWriter sets the response Content-Type for the chosen stream
+// format. SSE frames each element as one `data:` event; NDJSON is one JSON
+// object per line.
+func newStreamWriter(w http.ResponseWriter, sse bool) *streamWriter {
+	sw := &streamWriter{w: w, sse: sse}
 	sw.flusher, _ = w.(http.Flusher)
-	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		sw.sse = true
+	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-store")
 	} else {
@@ -173,7 +171,7 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1) // deferred: a panicking solve must not wedge the gauge
-	sw := newStreamWriter(w, r)
+	sw := newStreamWriter(w, strings.Contains(r.Header.Get("Accept"), "text/event-stream"))
 
 	// fail ends the stream: mid-stream errors arrive as a trailer (the 200
 	// is already on the wire); a dead client is counted, not answered.

@@ -146,26 +146,49 @@ func (d *deadWriter) Write(p []byte) (int, error) {
 
 // TestSweepStopsOnWriteError: once a line fails to reach the client, the
 // sweep must stop solving the rest of the grid instead of burning CPU
-// streaming into a dead connection — and the unwind must not wedge the
-// inFlight gauge.
+// streaming into a dead connection — and the unwind must count a cancel,
+// not an error, and must not wedge the inFlight gauge. In dispatch mode the
+// failed write stops the fleet watch loop.
 func TestSweepStopsOnWriteError(t *testing.T) {
-	s := New(Options{})
-	body, err := json.Marshal(sweepRequest{
-		federationSpec: testSpec(),
-		Ratios:         []float64{0.1, 0.2, 0.3, 0.4, 0.5},
-		Workers:        1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	url, stop := startFleet(t, 1)
+	defer stop()
+	// One worker and a long grid: the fleet cannot have merged every point
+	// by the time the first line fails.
+	long := make([]float64, 40)
+	for i := range long {
+		long[i] = float64(i+1) / 80
 	}
-	s.ServeHTTP(&deadWriter{}, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
-	if canceled := s.metrics.canceled.Load(); canceled != 1 {
-		t.Fatalf("canceled counter = %d, want 1", canceled)
-	}
-	if pts := s.metrics.sweepPoints.Load(); pts >= 5 {
-		t.Fatalf("sweep solved all %d points for a dead client", pts)
-	}
-	if inflight := s.InFlight(); inflight != 0 {
-		t.Fatalf("inFlight gauge wedged at %d", inflight)
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		ratios []float64
+	}{
+		{"local", Options{}, []float64{0.1, 0.2, 0.3, 0.4, 0.5}},
+		{"dispatch", Options{DispatchURL: url}, long},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(tc.opts)
+			body, err := json.Marshal(sweepRequest{
+				federationSpec: testSpec(),
+				Ratios:         tc.ratios,
+				Workers:        1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.ServeHTTP(&deadWriter{}, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
+			if canceled := s.metrics.canceled.Load(); canceled != 1 {
+				t.Fatalf("canceled counter = %d, want 1", canceled)
+			}
+			if errs := s.metrics.errors.Load(); errs != 0 {
+				t.Fatalf("errors counter = %d, want 0", errs)
+			}
+			if pts := s.metrics.sweepPoints.Load(); pts >= int64(len(tc.ratios)) {
+				t.Fatalf("sweep solved all %d points for a dead client", pts)
+			}
+			if inflight := s.InFlight(); inflight != 0 {
+				t.Fatalf("inFlight gauge wedged at %d", inflight)
+			}
+		})
 	}
 }

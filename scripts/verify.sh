@@ -109,12 +109,13 @@ if [[ "$missing" -ne 0 ]]; then
     exit 1
 fi
 
-# The unanchored pattern also picks up AblationApproxEvaluateAll/KTargets,
-# so the smoke run exercises the whole-vector SolveAll path. The sweep-box
-# benchmark is the approx kernel's reference timing; one iteration keeps
-# it building and running.
-echo "==> quick-bench smoke (BenchmarkAblationApprox*, BenchmarkApproxSweepBox, 1x)"
-go test -run '^$' -bench 'BenchmarkAblationApprox' -benchtime=1x .
+# Every root benchmark runs once, so none of the per-layer benchmarks can
+# stop building or running unnoticed: all the Ablation benchmarks, every
+# BenchmarkGameRound row, and the K=4 row of BenchmarkApproxKScaling (its
+# larger rows take seconds each). The sweep-box benchmark is the approx
+# kernel's reference timing; one iteration keeps it building and running.
+echo "==> quick-bench smoke (root benchmarks, BenchmarkApproxSweepBox, 1x)"
+go test -run '^$' -bench 'BenchmarkAblation|BenchmarkGameRound|BenchmarkApproxKScaling/K=4$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkApproxSweepBox$' -benchtime 1x ./internal/approx/
 
 # Allocation-diet smoke: the AllocsPerRun budgets on a reused Solver handle

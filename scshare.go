@@ -172,7 +172,7 @@ func ExactMetrics(fed Federation, shares []int) ([]Metrics, error) {
 
 // FluidMetrics evaluates the fast fluid fixed-point model for every SC.
 func FluidMetrics(fed Federation, shares []int) ([]Metrics, error) {
-	return fluid.Solve(fed, shares, fluid.Options{})
+	return fluid.Solve(fed, shares)
 }
 
 // Simulation types and entry point (the exact baseline of Sect. V-A).
