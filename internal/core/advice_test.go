@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
+	"scshare/internal/approx"
 	"scshare/internal/market"
 )
 
@@ -71,5 +73,49 @@ func TestSensitivityMargins(t *testing.T) {
 				t.Errorf("SC %d: neighbor utility %v beats equilibrium %v", i, u, out.Utilities[i])
 			}
 		}
+	}
+}
+
+// warmAdviseAllocBudget caps the allocations of one warm AdviseAt on the
+// Fig. 7a federation. With every metric cached the game only looks up, so
+// what remains is the per-call game, outcome and advice bookkeeping; a
+// per-run baseline solve or a per-probe key or trial vector overruns it.
+const warmAdviseAllocBudget = 120
+
+// TestWarmAdviseAllocBudget pins the warm advice path to lookups: on the
+// Fig. 7a federation under the approximate model with shares capped at 4,
+// once a price grid has been advised, a further AdviseAt on that grid stays
+// within warmAdviseAllocBudget allocations.
+func TestWarmAdviseAllocBudget(t *testing.T) {
+	f, err := New(Config{
+		Federation: fig7aFed(),
+		Gamma:      market.UF0,
+		MaxShares:  []int{4, 4, 4},
+		Approx:     approx.Config{Passes: 1, Prune: 1e-4, PoolCap: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var prices []float64
+	for c := 5; c < 100; c += 10 {
+		prices = append(prices, float64(c)/100)
+	}
+	for _, p := range prices {
+		if _, err := f.AdviseAt(ctx, p, nil, market.AlphaUtilitarian); err != nil {
+			t.Fatalf("warm-up at price %v: %v", p, err)
+		}
+	}
+	call := 0
+	allocs := testing.AllocsPerRun(2*len(prices), func() {
+		p := prices[call%len(prices)]
+		call++
+		if _, err := f.AdviseAt(ctx, p, nil, market.AlphaUtilitarian); err != nil {
+			t.Fatalf("price %v: %v", p, err)
+		}
+	})
+	t.Logf("warm AdviseAt: %v allocs/call", allocs)
+	if allocs > warmAdviseAllocBudget {
+		t.Errorf("warm AdviseAt: %v allocs/call, budget %d", allocs, warmAdviseAllocBudget)
 	}
 }

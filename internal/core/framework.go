@@ -15,7 +15,6 @@ import (
 	"scshare/internal/approx"
 	"scshare/internal/cloud"
 	"scshare/internal/market"
-	"scshare/internal/queueing"
 )
 
 // ModelKind selects the performance model backing the framework. It is an
@@ -60,6 +59,10 @@ type Config struct {
 type Framework struct {
 	cfg  Config
 	eval market.Evaluator
+	// bases holds every SC's no-sharing metrics, as New took them from
+	// the participation evaluator: the games read them, nothing writes
+	// them.
+	bases []cloud.Metrics
 	// warm is the framework-wide approx warm-start cache (shared by every
 	// sub-federation evaluator); kept on the struct so Snapshot can export
 	// it and Restore can seed it.
@@ -135,7 +138,20 @@ func New(cfg Config) (*Framework, error) {
 	}
 	// Participation requires contributing VMs, as in the paper: an SC with
 	// S_i = 0 stands alone, neither lending nor borrowing.
-	f.eval = market.Memoize(market.WithParticipation(cfg.Federation, mkEval))
+	part := market.WithParticipation(cfg.Federation, mkEval)
+	// A non-contributor evaluates to its no-sharing baseline, which
+	// participation solves once per SC and keeps: asking for each here
+	// fills f.bases and the S_i = 0 probes from the same solve.
+	zero := make([]int, len(cfg.Federation.SCs))
+	f.bases = make([]cloud.Metrics, len(zero))
+	for i := range zero {
+		m, err := part.Evaluate(zero, i)
+		if err != nil {
+			return nil, fmt.Errorf("core: baseline for SC %d: %w", i, err)
+		}
+		f.bases[i] = m
+	}
+	f.eval = market.Memoize(part)
 	return f, nil
 }
 
@@ -148,21 +164,18 @@ func (f *Framework) Evaluator() market.Evaluator { return f.eval }
 // DiagnosePruning to turn the account into a warning when it matters.
 func (f *Framework) PruneStats() approx.PruneStats { return f.prune.Stats() }
 
-// Baselines solves the Sect. III-A no-sharing model for every SC.
-func (f *Framework) Baselines() ([]Baseline, error) {
-	out := make([]Baseline, len(f.cfg.Federation.SCs))
-	for i, sc := range f.cfg.Federation.SCs {
-		m, err := queueing.Solve(sc)
-		if err != nil {
-			return nil, fmt.Errorf("core: baseline for SC %d: %w", i, err)
-		}
+// Baselines returns every SC's Sect. III-A no-sharing baseline, as New
+// solved it; the cost is Eq. (1) with only the public-cloud term.
+func (f *Framework) Baselines() []Baseline {
+	out := make([]Baseline, len(f.bases))
+	for i, m := range f.bases {
 		out[i] = Baseline{
-			Cost:        m.BaselineCost(),
-			Utilization: m.Metrics().Utilization,
-			ForwardProb: m.Metrics().ForwardProb,
+			Cost:        m.NetCost(f.cfg.Federation.SCs[i].PublicPrice, 0),
+			Utilization: m.Utilization,
+			ForwardProb: m.ForwardProb,
 		}
 	}
-	return out, nil
+	return out
 }
 
 // game instantiates the repeated game on the current federation price.
@@ -174,6 +187,7 @@ func (f *Framework) game(fed cloud.Federation) *market.Game {
 		TabuDistance: f.cfg.TabuDistance,
 		MaxRounds:    f.cfg.MaxRounds,
 		MaxShares:    f.cfg.MaxShares,
+		Baselines:    f.bases,
 	}
 }
 

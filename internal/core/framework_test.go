@@ -31,26 +31,44 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestBaselinesMatchQueueingModel pins the baselines New solves once to
+// the no-sharing model bit for bit: Framework.Baselines, and the C^0 and
+// rho^0 every framework game reports, equal queueing.Solve's values.
 func TestBaselinesMatchQueueingModel(t *testing.T) {
-	f, err := New(Config{Federation: tinyFed(), Model: ModelExact})
+	f, err := New(Config{Federation: tinyFed(), Model: ModelFluid})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, err := f.Baselines()
+	bs := f.Baselines()
+	out, err := f.Equilibrium(nil, market.AlphaUtilitarian)
 	if err != nil {
 		t.Fatal(err)
 	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for i, sc := range tinyFed().SCs {
 		ref, err := queueing.Solve(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bs[i].Cost != ref.BaselineCost() {
-			t.Errorf("SC %d cost %v, want %v", i, bs[i].Cost, ref.BaselineCost())
+		cost, util := ref.BaselineCost(), ref.Metrics().Utilization
+		if !same(bs[i].Cost, cost) || !same(out.BaselineCosts[i], cost) {
+			t.Errorf("SC %d cost %v (game %v), want %v", i, bs[i].Cost, out.BaselineCosts[i], cost)
 		}
-		if bs[i].Utilization != ref.Metrics().Utilization {
-			t.Errorf("SC %d utilization %v, want %v", i, bs[i].Utilization, ref.Metrics().Utilization)
+		if !same(bs[i].Utilization, util) || !same(out.BaselineUtils[i], util) {
+			t.Errorf("SC %d utilization %v (game %v), want %v", i, bs[i].Utilization, out.BaselineUtils[i], util)
 		}
+		if !same(bs[i].ForwardProb, ref.Metrics().ForwardProb) {
+			t.Errorf("SC %d forward probability %v, want %v", i, bs[i].ForwardProb, ref.Metrics().ForwardProb)
+		}
+	}
+	// Baselines that do not match the federation are a caller error.
+	g := &market.Game{
+		Federation: tinyFed(),
+		Evaluator:  f.Evaluator(),
+		Baselines:  make([]cloud.Metrics, len(tinyFed().SCs)+1),
+	}
+	if _, err := g.Run(nil); err == nil {
+		t.Error("game accepted 3 baselines for 2 SCs")
 	}
 }
 

@@ -3,6 +3,8 @@ package market
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -91,6 +93,45 @@ func TestRunMultiStartContextCancelIsHardError(t *testing.T) {
 	}
 	if errors.Is(err, ErrNoEquilibrium) {
 		t.Fatal("cancellation was misreported as a dead market")
+	}
+}
+
+// TestRunMultiStartContextLoneStart pins the one-start path, which plays
+// on the caller's goroutine: canceled, it is a hard error like any
+// multi-start; live, it returns exactly what RunContext returns for that
+// start, a dead market's terminal state included.
+func TestRunMultiStartContextLoneStart(t *testing.T) {
+	fed := toyFederation(0.4)
+	mkGame := func(maxRounds int) *Game {
+		return &Game{Federation: fed, Evaluator: Memoize(newToyEvaluator(t, fed)), Gamma: 0.5, MaxRounds: maxRounds}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, err := mkGame(0).RunMultiStartContext(ctx, [][]int{{1, 1, 1}}, AlphaUtilitarian)
+	if out != nil || !errors.Is(err, context.Canceled) || errors.Is(err, ErrNoEquilibrium) {
+		t.Fatalf("canceled lone start = (%v, %v); want nil outcome wrapping context.Canceled", out, err)
+	}
+
+	for _, maxRounds := range []int{0, 1} {
+		for _, init := range [][]int{nil, {3, 0, 5}} {
+			want, werr := mkGame(maxRounds).RunContext(context.Background(), init)
+			got, gerr := mkGame(maxRounds).RunMultiStartContext(context.Background(), [][]int{init}, AlphaUtilitarian)
+			if errors.Is(gerr, ErrNoEquilibrium) != errors.Is(werr, ErrNoEquilibrium) || (werr == nil) != (gerr == nil) {
+				t.Fatalf("rounds %d, init %v: error %v, RunContext's %v", maxRounds, init, gerr, werr)
+			}
+			if want == nil || got == nil {
+				t.Fatalf("rounds %d, init %v: outcome %v, RunContext's %v", maxRounds, init, got, want)
+			}
+			if fmt.Sprint(got.Shares) != fmt.Sprint(want.Shares) || got.Rounds != want.Rounds || got.Evals != want.Evals {
+				t.Errorf("rounds %d, init %v: shares %v in %d rounds, %d evals; RunContext's %v in %d, %d",
+					maxRounds, init, got.Shares, got.Rounds, got.Evals, want.Shares, want.Rounds, want.Evals)
+			}
+			for i := range want.Utilities {
+				if math.Float64bits(got.Utilities[i]) != math.Float64bits(want.Utilities[i]) {
+					t.Errorf("rounds %d, init %v: SC %d utility %v, RunContext's %v", maxRounds, init, i, got.Utilities[i], want.Utilities[i])
+				}
+			}
+		}
 	}
 }
 

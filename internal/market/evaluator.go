@@ -15,6 +15,12 @@ import (
 // Evaluator produces the performance metrics of one SC under a sharing
 // vector. Metrics are price-independent, which is what lets the game and
 // the price sweeps share solves through Memoize.
+//
+// Evaluate must not retain shares after it returns: the caller owns the
+// vector and may overwrite it for the next call (the game's best-response
+// search reuses one trial vector per search). An implementation that keeps
+// the vector, as a cache key or in a stored model, keeps a copy. The same
+// holds for AllEvaluator.EvaluateAll.
 type Evaluator interface {
 	Evaluate(shares []int, target int) (cloud.Metrics, error)
 }
@@ -25,7 +31,8 @@ type Evaluator interface {
 // returns implements it; Memoize exploits it to cache per share vector, so
 // the K per-target lookups the game issues for one vector collapse into a
 // single solve, and the participation probe and welfare planner take their
-// whole-vector fast paths.
+// whole-vector fast paths. Like Evaluate, EvaluateAll must not retain
+// shares.
 type AllEvaluator interface {
 	Evaluator
 	EvaluateAll(shares []int) ([]cloud.Metrics, error)
@@ -276,28 +283,31 @@ type memoEvaluator struct {
 // do returns the entry for key, joining an in-flight solve when one exists
 // and running solve itself otherwise. The solve runs outside the critical
 // section. The second result reports whether the entry was served without
-// running solve (a cache hit or an in-flight join).
-func (me *memoEvaluator) do(key string, solve func() memoEntry) (memoEntry, bool) {
+// running solve (a cache hit or an in-flight join). Lookups index the maps
+// with string(key), which Go does without copying, so only a miss, which
+// stores the key, allocates its string.
+func (me *memoEvaluator) do(key []byte, solve func() memoEntry) (memoEntry, bool) {
 	me.mu.Lock()
-	if e, ok := me.cache[key]; ok {
+	if e, ok := me.cache[string(key)]; ok {
 		me.mu.Unlock()
 		return e, true
 	}
-	if c, ok := me.inflight[key]; ok {
+	if c, ok := me.inflight[string(key)]; ok {
 		me.mu.Unlock()
 		<-c.done
 		return c.memoEntry, true
 	}
+	k := string(key)
 	c := &memoCall{done: make(chan struct{})}
-	me.inflight[key] = c
+	me.inflight[k] = c
 	me.mu.Unlock()
 
 	c.memoEntry = solve()
 	close(c.done)
 
 	me.mu.Lock()
-	me.cache[key] = c.memoEntry
-	delete(me.inflight, key)
+	me.cache[k] = c.memoEntry
+	delete(me.inflight, k)
 	me.mu.Unlock()
 	return c.memoEntry, false
 }
@@ -388,9 +398,12 @@ func (me memoAllEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
 	return e.all, e.err
 }
 
-// vectorKey encodes a share vector as a cache key prefix.
-func vectorKey(shares []int) []byte {
-	key := make([]byte, 0, 4*len(shares)+4)
+// keyBufLen sizes the stack buffer a cache key is built in: enough for
+// 32 SCs with two-digit shares. A longer key spills to the heap.
+const keyBufLen = 128
+
+// appendVectorKey appends the cache key of a share vector to key.
+func appendVectorKey(key []byte, shares []int) []byte {
 	for _, s := range shares {
 		key = strconv.AppendInt(key, int64(s), 10)
 		key = append(key, ',')
@@ -398,11 +411,18 @@ func vectorKey(shares []int) []byte {
 	return key
 }
 
+// shareKey returns the cache key of a share vector as a string, for the
+// game's cycle detector and the welfare planner's vector cache.
+func shareKey(shares []int) string {
+	var buf [keyBufLen]byte
+	return string(appendVectorKey(buf[:0], shares))
+}
+
 // allEntry returns the cached whole-vector entry for shares, solving it
 // exactly once per key.
 func (me *memoEvaluator) allEntry(shares []int) memoEntry {
-	k := string(vectorKey(shares))
-	e, hit := me.do(k, func() memoEntry {
+	var buf [keyBufLen]byte
+	e, hit := me.do(appendVectorKey(buf[:0], shares), func() memoEntry {
 		all, err := me.all.EvaluateAll(shares)
 		return memoEntry{all: all, err: err}
 	})
@@ -413,9 +433,9 @@ func (me *memoEvaluator) allEntry(shares []int) memoEntry {
 // Evaluate implements Evaluator.
 func (me *memoEvaluator) Evaluate(shares []int, target int) (cloud.Metrics, error) {
 	if me.all == nil {
-		key := strconv.AppendInt(vectorKey(shares), int64(target), 10)
-		k := string(key)
-		e, hit := me.do(k, func() memoEntry {
+		var buf [keyBufLen]byte
+		key := strconv.AppendInt(appendVectorKey(buf[:0], shares), int64(target), 10)
+		e, hit := me.do(key, func() memoEntry {
 			m, err := me.inner.Evaluate(shares, target)
 			return memoEntry{m: m, err: err}
 		})

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"scshare/internal/cloud"
 	"scshare/internal/queueing"
@@ -35,13 +35,20 @@ type Game struct {
 	MaxRounds int
 	// MaxShares caps each SC's strategy space; defaults to its VM count.
 	MaxShares []int
-	// Workers bounds the worker pool evaluating a round's best responses.
+	// Workers bounds how many goroutines evaluate a round's best responses.
 	// Jacobi rounds respond to the previous round's decisions, so the K
-	// searches of a round are independent and fan out across min(Workers, K)
-	// goroutines; results merge in SC index order, which keeps the dynamics
-	// bit-identical to the serial schedule. 0 means GOMAXPROCS; 1 forces the
-	// serial path.
+	// searches of a round are independent: the calling goroutine takes
+	// searches itself next to min(Workers, K)-1 helpers, and results merge
+	// in SC index order, which keeps the dynamics bit-identical to the
+	// serial schedule. 0 means GOMAXPROCS; 1 forces the serial path.
 	Workers int
+	// Baselines optionally supplies every SC's no-sharing metrics, as
+	// queueing.Solve(sc).Metrics() gives them; the game takes C^0_i =
+	// NetCost(PublicPrice, 0) and rho^0_i = Utilization from them. A caller
+	// that plays many games on one federation (core.Framework) solves them
+	// once and passes them here; nil solves them on every run. The slice is
+	// only read, and must hold one entry per SC.
+	Baselines []cloud.Metrics
 
 	// skip marks SCs that never best-respond (see RunWithFrozen).
 	skip map[int]bool
@@ -114,7 +121,7 @@ func (g *Game) RunContext(ctx context.Context, initial []int) (*Outcome, error) 
 		}
 	}
 
-	baseCosts, baseUtils, err := g.baselines()
+	baseCosts, baseUtils, err := baselineTerms(g.Federation, g.Baselines)
 	if err != nil {
 		return nil, err
 	}
@@ -216,14 +223,16 @@ type bestResponse struct {
 
 // respond runs SC i's best response against the base vector. The context
 // is consulted before every evaluation, bounding cancellation latency by
-// one model solve.
+// one model solve. Every probe of the search reuses one trial vector, which
+// differs from base only in entry i; the Evaluator contract (no retaining
+// shares) is what makes the reuse safe.
 func (g *Game) respond(ctx context.Context, base []int, i, maxShare, distance int, baseCosts, baseUtils []float64) bestResponse {
+	trial := make([]int, len(base))
+	copy(trial, base)
 	objective := func(s int) (float64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		trial := make([]int, len(base))
-		copy(trial, base)
 		trial[i] = s
 		m, err := g.Evaluator.Evaluate(trial, i)
 		if err != nil {
@@ -237,45 +246,45 @@ func (g *Game) respond(ctx context.Context, base []int, i, maxShare, distance in
 }
 
 // respondAll fills responses with every non-skipped SC's best response to
-// base, fanning the independent searches across the game's worker pool.
-// responses[i] is written only by the goroutine that owns index i, so the
-// merge order (and therefore the dynamics) is independent of scheduling.
+// base, spread over min(Workers, K) goroutines by runIndexed.
+// responses[i] is written only by the goroutine that claimed index i, so
+// the merge order (and therefore the dynamics) is independent of
+// scheduling.
 func (g *Game) respondAll(ctx context.Context, base, maxShares []int, distance int, baseCosts, baseUtils []float64, responses []bestResponse) {
-	k := len(responses)
-	workers := g.Workers
+	runIndexed(len(responses), g.Workers, func(i int) {
+		if !g.skip[i] {
+			responses[i] = g.respond(ctx, base, i, maxShares[i], distance, baseCosts, baseUtils)
+		}
+	})
+}
+
+// runIndexed calls fn(i) for every i in [0, n) and returns once every call
+// has returned. The calling goroutine and up to min(workers, n)-1 helpers
+// claim indices from one shared counter until none are left, so n = 1 or
+// workers = 1 starts no goroutine. workers <= 0 means GOMAXPROCS.
+func runIndexed(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 {
-		for i := 0; i < k; i++ {
-			if g.skip[i] {
-				continue
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-			responses[i] = g.respond(ctx, base, i, maxShares[i], distance, baseCosts, baseUtils)
+			fn(i)
 		}
-		return
 	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				responses[i] = g.respond(ctx, base, i, maxShares[i], distance, baseCosts, baseUtils)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < k; i++ {
-		if g.skip[i] {
-			continue
-		}
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
 }
 
@@ -284,8 +293,9 @@ func (g *Game) respondAll(ctx context.Context, base, maxShares []int, distance i
 // paper uses the same device to select among multiple equilibria
 // (Sect. VII, "the feasibility of the Tatonnement process").
 //
-// The starts are independent, so they run concurrently across
-// GOMAXPROCS-bounded workers; the evaluators (Memoize, SimEvaluator,
+// The starts are independent, so runIndexed spreads them over up to
+// GOMAXPROCS goroutines, the caller's among them (a lone start starts
+// none); the evaluators (Memoize, SimEvaluator,
 // WithParticipation) deduplicate shared solves across the runs. Selection
 // stays deterministic: results are compared in the order the initials were
 // given, regardless of which goroutine finishes first.
@@ -309,18 +319,9 @@ func (g *Game) RunMultiStartContext(ctx context.Context, initials [][]int, alpha
 	}
 	outs := make([]*Outcome, len(initials))
 	errs := make([]error, len(initials))
-	var wg sync.WaitGroup
-	workers := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, init := range initials {
-		wg.Add(1)
-		workers <- struct{}{}
-		go func(i int, init []int) {
-			defer wg.Done()
-			defer func() { <-workers }()
-			outs[i], errs[i] = g.RunContext(ctx, init)
-		}(i, init)
-	}
-	wg.Wait()
+	runIndexed(len(initials), 0, func(i int) {
+		outs[i], errs[i] = g.RunContext(ctx, initials[i])
+	})
 
 	var best, bestPartial *Outcome
 	bestW, bestPartialW := math.Inf(-1), math.Inf(-1)
@@ -365,18 +366,30 @@ func (g *Game) RunMultiStartContext(ctx context.Context, initials [][]int, alpha
 	return nil, ErrNoEquilibrium
 }
 
-// baselines solves the no-sharing model for every SC.
-func (g *Game) baselines() (costs, utils []float64, err error) {
-	k := len(g.Federation.SCs)
+// baselineTerms returns every SC's no-federation references (C^0_i,
+// rho^0_i) of Eq. (2), read from bases when it is non-nil and otherwise
+// solved from the no-sharing model; C^0_i is the public-cloud term
+// NetCost(PublicPrice, 0), as queueing.Model.BaselineCost computes it.
+func baselineTerms(fed cloud.Federation, bases []cloud.Metrics) (costs, utils []float64, err error) {
+	k := len(fed.SCs)
+	if bases != nil && len(bases) != k {
+		return nil, nil, fmt.Errorf("market: %d baselines for %d SCs", len(bases), k)
+	}
 	costs = make([]float64, k)
 	utils = make([]float64, k)
-	for i, sc := range g.Federation.SCs {
-		m, err := queueing.Solve(sc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("market: baseline for SC %d: %w", i, err)
+	for i, sc := range fed.SCs {
+		var m cloud.Metrics
+		if bases != nil {
+			m = bases[i]
+		} else {
+			q, err := queueing.Solve(sc)
+			if err != nil {
+				return nil, nil, fmt.Errorf("market: baseline for SC %d: %w", i, err)
+			}
+			m = q.Metrics()
 		}
-		costs[i] = m.BaselineCost()
-		utils[i] = m.Metrics().Utilization
+		costs[i] = m.NetCost(sc.PublicPrice, 0)
+		utils[i] = m.Utilization
 	}
 	return costs, utils, nil
 }
@@ -461,14 +474,4 @@ func (g *Game) IsEquilibrium(out *Outcome, tol float64) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// shareKey encodes a share vector for cycle detection.
-func shareKey(shares []int) string {
-	b := make([]byte, 0, 4*len(shares))
-	for _, s := range shares {
-		b = strconv.AppendInt(b, int64(s), 10)
-		b = append(b, ',')
-	}
-	return string(b)
 }

@@ -117,6 +117,38 @@ func TestShardedCachePerTargetStress(t *testing.T) {
 	}
 }
 
+// TestMemoHitAllocFree pins the memo cache's hit path to zero
+// allocations: a hit builds its key on the stack and looks it up without
+// converting it to a string, on the whole-vector path (Evaluate and
+// EvaluateAll) and on the per-target path alike.
+func TestMemoHitAllocFree(t *testing.T) {
+	fed := testFederation()
+	shares := []int{2, 1, 3}
+	all := Memoize(&countingAllEvaluator{fed: fed}).(AllEvaluator)
+	perTarget := Memoize(EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
+		return cloud.Metrics{Utilization: float64(shares[target])}, nil
+	}))
+	for _, tc := range []struct {
+		name   string
+		lookup func() error
+	}{
+		{"Evaluate", func() error { _, err := all.Evaluate(shares, 1); return err }},
+		{"EvaluateAll", func() error { _, err := all.EvaluateAll(shares); return err }},
+		{"per-target Evaluate", func() error { _, err := perTarget.Evaluate(shares, 1); return err }},
+	} {
+		if err := tc.lookup(); err != nil { // the miss that fills the cache
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := tc.lookup(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: a warm hit allocates %v times", tc.name, allocs)
+		}
+	}
+}
+
 // TestGameParallelMatchesSerial pins the tentpole's determinism claim: the
 // Jacobi rounds merge best responses in SC index order, so the parallel
 // path must reproduce the serial path's equilibrium bit for bit — shares,

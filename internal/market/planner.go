@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"scshare/internal/cloud"
-	"scshare/internal/queueing"
 )
 
 // WelfareEvaluator computes social welfare for arbitrary sharing vectors;
@@ -50,13 +49,9 @@ func NewWelfareEvaluator(fed cloud.Federation, ev Evaluator, gamma float64) (*We
 		vectors: make(map[string][]cloud.Metrics),
 	}
 	we.all, _ = ev.(AllEvaluator)
-	for i, sc := range fed.SCs {
-		m, err := queueing.Solve(sc)
-		if err != nil {
-			return nil, fmt.Errorf("market: baseline for SC %d: %w", i, err)
-		}
-		we.baseCosts = append(we.baseCosts, m.BaselineCost())
-		we.baseUtils = append(we.baseUtils, m.Metrics().Utilization)
+	var err error
+	if we.baseCosts, we.baseUtils, err = baselineTerms(fed, nil); err != nil {
+		return nil, err
 	}
 	return we, nil
 }

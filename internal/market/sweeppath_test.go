@@ -122,7 +122,7 @@ func TestFillOutcomeWholeVectorSolve(t *testing.T) {
 	fed := testFederation()
 	inner := &countingAllEvaluator{fed: fed}
 	g := &Game{Federation: fed, Evaluator: inner, Gamma: UF0}
-	baseCosts, baseUtils, err := g.baselines()
+	baseCosts, baseUtils, err := baselineTerms(fed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

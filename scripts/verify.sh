@@ -119,9 +119,10 @@ go test -run '^$' -bench 'BenchmarkAblation|BenchmarkGameRound|BenchmarkApproxKS
 go test -run '^$' -bench '^BenchmarkApproxSweepBox$' -benchtime 1x ./internal/approx/
 
 # Allocation-diet smoke: the AllocsPerRun budgets on a reused Solver handle
-# (warm single-level solve and warm whole-vector solve) catch a change that
-# quietly reintroduces per-level or per-state allocation.
-echo "==> allocation-budget smoke (approx Solver arena reuse)"
-go test -count=1 -run 'TestWarmSolveAllocBudget' ./internal/approx/
+# (warm single-level solve and warm whole-vector solve), on a warm AdviseAt
+# and on a memo hit catch a change that quietly reintroduces per-level,
+# per-state or per-lookup allocation.
+echo "==> allocation-budget smoke (approx Solver arena reuse, warm advice, memo hits)"
+go test -count=1 -run 'TestWarmSolveAllocBudget|TestWarmAdviseAllocBudget|TestMemoHitAllocFree' ./internal/approx/ ./internal/core/ ./internal/market/
 
 echo "verify: all checks passed"
