@@ -35,7 +35,9 @@
 // iterates behind them are stepped once per conditioning group and kept by
 // the level they were stepped through, so every consumer of a level —
 // above all SolveAll's readouts, which all read the same last level —
-// shares them.
+// shares them. A level's first iterate request steps all its usable
+// groups, four to a block through one interleaved sparse pass
+// (sparse.CSR.MulVecTTo4), bit-identical to stepping each group alone.
 //
 // Generator assembly computes nothing twice within a level build. Each
 // event rate (arrivals, l local and o remote departures) is bucketed once;
@@ -61,8 +63,11 @@
 // recycled storage, so repeat solves on one handle allocate almost
 // nothing (DESIGN.md §16). WithShares swaps the share vector per call —
 // how the market evaluator serves thousands of vectors from a pool of
-// handles. A Solver solves serially on one goroutine; callers that want
-// more cores run more solves at once, each on its own handle. Summary
+// handles. A handle serves one goroutine at a time, but a solve uses idle
+// cores on its own: a level's stepping blocks and a SolveAll round's
+// readouts are claimed by the caller and up to GOMAXPROCS-1 helpers, each
+// in its own scratch, and every metric and counter is bit-identical to
+// GOMAXPROCS 1, the serial schedule (DESIGN.md §16). Summary
 // distributions are adaptively truncated under
 // Config.TruncEps (mass-preserving, default 1e-9, accounted in
 // Config.PruneStats); set TruncEps negative to disable.

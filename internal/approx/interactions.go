@@ -33,9 +33,10 @@ const relaxationCutoff = 10.0
 // mix in the steady joint.
 var maxIterates = int(relaxationCutoff+6*math.Sqrt(relaxationCutoff)) + 4
 
-// defaultPrune drops negligible atoms from interaction vectors; the
-// remainder is renormalized, so total event rates are preserved.
-const defaultPrune = 1e-6
+// DefaultPrune is the Config.Prune used when it is zero or negative: atoms
+// below it are dropped from interaction vectors and the remainder is
+// renormalized, so total event rates are preserved.
+const DefaultPrune = 1e-6
 
 // transientEps is the Poisson mass the Fox-Glynn weights of a transient
 // mixture may leave out.
@@ -75,7 +76,7 @@ type foxGlynnMemo struct {
 // therefore has its iterates stepped once, collapsed to the small summary
 // space (F, lent, dead, cong), and serves any tau bucket as a
 // Poisson-weighted mixture of those summaries. The stepping itself belongs
-// to the previous level (level.stepGroup), which keeps the collapsed
+// to the previous level (level.stepAll), which keeps the collapsed
 // iterates in its own cache: every consumer of that level — SolveAll's
 // readouts above all — reuses them and only applies its own shift and
 // truncation here.
@@ -103,8 +104,9 @@ type interactions struct {
 	// truncEps is the adaptive truncation budget each summarized joint may
 	// shed (already resolved by the Solver: <= 0 disables truncation).
 	truncEps float64
-	// counter accumulates the truncated mass; nil disables accounting.
-	counter *PruneCounter
+	// dropped lists the mass each truncated summary shed, in shedding
+	// order, since reset; the Solver folds it into Config.PruneStats.
+	dropped []float64
 	// shiftF and shiftLent are the SolveAll readout self-exclusion shifts
 	// (in VMs); see setSelfExclusion.
 	shiftF, shiftLent float64
@@ -144,18 +146,18 @@ type interactions struct {
 }
 
 // reset re-aims the interactions at a new previous level, clearing the
-// caches while keeping their storage. truncEps must already be resolved
-// (<= 0 disables truncation).
-func (in *interactions) reset(prev *level, curShare int, peerShares []int, prune, truncEps float64, counter *PruneCounter) {
+// caches and the truncation log while keeping their storage. truncEps must
+// already be resolved (<= 0 disables truncation).
+func (in *interactions) reset(prev *level, curShare int, peerShares []int, prune, truncEps float64) {
 	if prune <= 0 {
-		prune = defaultPrune
+		prune = DefaultPrune
 	}
 	in.prev = prev
 	in.curShare = curShare
 	in.peerShares = peerShares
 	in.prune = prune
 	in.truncEps = truncEps
-	in.counter = counter
+	in.dropped = in.dropped[:0]
 	in.preserveS = false
 	in.shiftF, in.shiftLent = 0, 0
 	in.jointN = 0
@@ -300,7 +302,7 @@ func (in *interactions) summarize(p []float64) []float64 {
 // slice of the truncEps budget are zeroed and the survivors rescaled, so
 // the summary keeps its total mass (event rates are preserved) while the
 // downstream mixing and disaggregation loops skip the dropped support. The
-// discarded mass is recorded in the counter.
+// discarded mass is appended to the truncation log.
 func (in *interactions) finish(out []float64) {
 	if in.shiftLent > 0 {
 		in.shiftAxisDown(out, in.strideD, in.strideL/in.strideD, in.shiftLent)
@@ -331,7 +333,7 @@ func (in *interactions) finish(out []float64) {
 					}
 				}
 			}
-			in.counter.record(dropped)
+			in.dropped = append(in.dropped, dropped)
 		}
 	}
 }
@@ -406,7 +408,7 @@ func (in *interactions) shiftAxisDown(joint []float64, stride, extent int, shift
 // the bias up overdrives that loop — since the caller's aggregate excludes
 // the readout SC's own borrowing while the groups do not.
 //
-// The previous level steps each resolved group once and caches the
+// The previous level steps every resolved group once and caches the
 // collapsed iterates; this level copies them and finishes each copy with
 // its own shift and truncation, in iterate order. Once an iterate has
 // relaxed to the steady state the remaining slots alias the steady joint.
@@ -415,7 +417,7 @@ func (in *interactions) groupIterates(g int) [][]float64 {
 		return js
 	}
 	prev := in.prev
-	first, count := prev.stepGroup(prev.resolveGroup(g + int(in.shiftLent)))
+	first, count := prev.iterates(prev.resolveGroup(g + int(in.shiftLent)))
 	js := in.nextJS()
 	for k := range js {
 		if k >= count {

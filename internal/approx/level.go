@@ -5,10 +5,11 @@ import (
 	"math"
 	"slices"
 
+	"scshare/internal/claim"
 	"scshare/internal/cloud"
 	"scshare/internal/markov"
-	"scshare/internal/numeric"
 	"scshare/internal/queueing"
+	"scshare/internal/sparse"
 )
 
 // level is one chain M^i of the hierarchy. Levels live inside levelSlot
@@ -43,18 +44,19 @@ type level struct {
 	// not be re-exported to the next level as predecessor usage.
 	demandDriven bool
 
-	// Per-state summaries consumed by the next level.
-	foreign []int  // F(y) = o+a: usage of the pool excluding this SC
-	lent    []int  // P(y) = s: this SC's VMs serving predecessors
-	cong    []bool // does this SC have waiting requests?
-	dead    []int  // share headroom this SC cannot actually lend (no idle VM)
+	// cell maps each state to its cell of the summary space the next level
+	// reads this level through (see summaryStrides): the pool usage
+	// excluding this SC F = o+a, this SC's VMs serving predecessors
+	// P = s, the share headroom it cannot back with an idle VM, and
+	// whether it has waiting requests.
+	cell []int
 
 	// groups[g] lists states with total shared usage s+o+a == g, and
 	// groupMass[g] is their steady mass, summed in list order.
 	groups    [][]int
 	groupMass []float64
 	// iter caches the stepped transient iterates the next level's
-	// interaction vectors mix (see stepGroup).
+	// interaction vectors mix (see stepAll).
 	iter iterateCache
 
 	// forward is the per-state probability that an arrival at this SC is
@@ -333,13 +335,8 @@ func (sl *levelSlot) build(demand float64, opts markov.SteadyStateOptions) error
 // level's interaction computation, reusing the level's summary buffers.
 func (lv *level) summarize() {
 	n := lv.numStates()
-	lv.foreign = growInts(lv.foreign, n)
-	lv.lent = growInts(lv.lent, n)
-	lv.dead = growInts(lv.dead, n)
-	if cap(lv.cong) < n {
-		lv.cong = make([]bool, n)
-	}
-	lv.cong = lv.cong[:n]
+	strideD, strideL, _ := lv.summaryStrides()
+	lv.cell = growInts(lv.cell, n)
 	ng := lv.share + lv.poolDim + 1
 	if cap(lv.groups) < ng {
 		g2 := make([][]int, ng)
@@ -352,27 +349,22 @@ func (lv *level) summarize() {
 	}
 	for idx := 0; idx < n; idx++ {
 		q, s, o, a := lv.decode(idx)
-		lv.foreign[idx] = o + a
-		lv.lent[idx] = s
+		lent := s
 		if lv.demandDriven {
 			// s serves successors, not predecessors: it is invisible to
 			// the next level's a_rem but still occupies real VMs (dead).
-			lv.lent[idx] = 0
+			lent = 0
 		}
-		lv.cong[idx] = q > lv.sc.VMs-s
+		cong := 0
+		if q > lv.sc.VMs-s {
+			cong = 1
+		}
 		// Share headroom this SC advertises but cannot back with an idle
 		// VM right now; the next level subtracts it from the borrowable
 		// pool (lender-availability refinement, see package doc).
-		lv.dead[idx] = 0
-		headroom := lv.share - s
-		idle := lv.sc.VMs - q - s
-		if idle < 0 {
-			idle = 0
-		}
-		if idle < headroom {
-			lv.dead[idx] = headroom - idle
-		}
-		g := lv.lent[idx] + o + a
+		dead := max(0, lv.share-s-max(0, lv.sc.VMs-q-s))
+		lv.cell[idx] = (o+a)*strideL + lent*strideD + dead*2 + cong
+		g := lent + o + a
 		lv.groups[g] = append(lv.groups[g], idx)
 	}
 	lv.groupMass = growFloats(lv.groupMass, ng)
@@ -421,16 +413,10 @@ func (lv *level) summaryStrides() (strideD, strideL, dim int) {
 // collapse accumulates a distribution over this level's states into the
 // summary joint dst, which the caller has zeroed.
 func (lv *level) collapse(dst, p []float64) {
-	strideD, strideL, _ := lv.summaryStrides()
 	for idx, w := range p {
-		if w == 0 {
-			continue
+		if w != 0 {
+			dst[lv.cell[idx]] += w
 		}
-		c := 0
-		if lv.cong[idx] {
-			c = 1
-		}
-		dst[lv.foreign[idx]*strideL+lv.lent[idx]*strideD+lv.dead[idx]*2+c] += w
 	}
 }
 
@@ -456,22 +442,6 @@ func (lv *level) resolveGroup(g int) int {
 	return -1
 }
 
-// restrictInto writes the transient start for resolved group r into dst
-// (dimensioned to the level's state space): the steady state restricted to
-// group r and renormalized — the pi^X construction of the paper applied to
-// the observable aggregate — or the steady state itself for r = -1.
-func (lv *level) restrictInto(dst []float64, r int) {
-	if r < 0 {
-		copy(dst, lv.steady)
-		return
-	}
-	clear(dst)
-	mass := lv.groupMass[r]
-	for _, idx := range lv.groups[r] {
-		dst[idx] = lv.steady[idx] / mass
-	}
-}
-
 // iterateCache holds a solved level's stepped transients: for each
 // resolved conditioning group r (slot r+1; slot 0 is the steady start
 // r = -1), the summary joints of the uniformization iterates
@@ -483,16 +453,29 @@ func (lv *level) restrictInto(dst []float64, r int) {
 // slab keeps its storage across builds.
 type iterateCache struct {
 	spans []iterSpan // per group, slot r+1 for group r
-	slab  []float64  // stored joints, dim floats each
-	dim   int
-	// iterA and iterB are the full-state iterate buffers stepping runs in.
-	iterA, iterB []float64
+	// slab stores the joints, dim floats each: the i-th stepped group owns
+	// the maxIterates+1 joints from position i*(maxIterates+1) on.
+	slab []float64
+	dim  int
+	// stepped reports that stepAll has filled the cache; todo lists the
+	// groups it stepped, in ascending order.
+	stepped bool
+	todo    []int
+	// work is the solver's stepping scratch, one entry per worker, shared
+	// by all its levels: one level is stepped at a time.
+	work *[]stepWork
 }
 
 // iterSpan locates one group's stored iterates: first is the slab position
-// of iterate 0 (-1 until the group is stepped) and count how many are
-// stored, later ones having relaxed.
+// of iterate 0 and count how many are stored, later ones having relaxed.
 type iterSpan struct{ first, count int }
+
+// stepWork is one stepping worker's scratch: the lane-interleaved iterates
+// of a block before and after a step, and the joint that relaxed and
+// padding lanes collapse into.
+type stepWork struct {
+	v, next, sink []float64
+}
 
 // reset empties the cache for a level with ng conditioning groups and
 // dim-cell summary joints.
@@ -501,11 +484,9 @@ func (c *iterateCache) reset(ng, dim int) {
 		c.spans = make([]iterSpan, ng+1)
 	}
 	c.spans = c.spans[:ng+1]
-	for i := range c.spans {
-		c.spans[i] = iterSpan{first: -1}
-	}
-	c.slab = c.slab[:0]
+	clear(c.spans)
 	c.dim = dim
+	c.stepped = false
 }
 
 // joint returns the stored joint at slab position i.
@@ -513,45 +494,144 @@ func (c *iterateCache) joint(i int) []float64 {
 	return c.slab[i*c.dim : (i+1)*c.dim]
 }
 
-// stepGroup returns the slab position and count of resolved group r's
-// stored iterates, stepping the transient from the group's restriction
-// through the level's uniformized chain on first request. Iterates from
-// index count on have relaxed: their L1 distance to the steady state fell
-// below steadyRelaxTol (further stepping would only accumulate rounding),
-// and readers substitute the steady joint.
-func (lv *level) stepGroup(r int) (first, count int) {
+// iterates returns the slab position and count of resolved group r's
+// stored iterates, stepping the whole level on first request (stepAll).
+// Iterates from index count on have relaxed: their L1 distance to the
+// steady state fell below steadyRelaxTol (further stepping would only
+// accumulate rounding), and readers substitute the steady joint.
+func (lv *level) iterates(r int) (first, count int) {
+	lv.stepAll()
+	sp := lv.iter.spans[r+1]
+	return sp.first, sp.count
+}
+
+// stepAll steps the transient of every usable conditioning group — every
+// group resolveGroup can return, or the unrestricted steady start when
+// none is usable — from its restriction through the level's uniformized
+// chain, and keeps the collapsed iterates. The groups go sparse.Lanes to a
+// block through the 4-lane step, and the caller and up to GOMAXPROCS-1
+// helpers claim the blocks (claim.Run), each in its own scratch. Every
+// lane's iterates, relaxation checks and joints are the floats a lone
+// group's stepping produces, so the cache is the same whatever the worker
+// count. Later calls return at once, so a level read by concurrent
+// readouts must be stepped before they start.
+func (lv *level) stepAll() {
 	c := &lv.iter
-	if sp := c.spans[r+1]; sp.first >= 0 {
-		return sp.first, sp.count
+	if c.stepped {
+		return
 	}
+	c.stepped = true
+	todo := c.todo[:0]
+	for g, m := range lv.groupMass {
+		if m > groupMassEps {
+			todo = append(todo, g)
+		}
+	}
+	if len(todo) == 0 {
+		todo = append(todo, -1)
+	}
+	c.todo = todo
+	c.slab = growFloats(c.slab, len(todo)*(maxIterates+1)*c.dim)
+	blocks := (len(todo) + sparse.Lanes - 1) / sparse.Lanes
+	workers := claim.Workers(blocks, 0)
+	if len(*c.work) < workers {
+		*c.work = append(*c.work, make([]stepWork, workers-len(*c.work))...)
+	}
+	work := *c.work
+	claim.Run(blocks, workers, func(w, b int) {
+		lv.stepBlock(&work[w], b*sparse.Lanes)
+	})
+}
+
+// stepBlock steps the groups todo[lo:lo+sparse.Lanes] (fewer at the end of
+// the list; the missing lanes stay zero) as the lanes of one interleaved
+// block. Iterate 0 is each group's restriction; every later one is one
+// Step4 of the whole block followed by one fused pass over the states
+// that, per lane, sums the L1 distance to the steady state and collapses
+// the iterate into the lane's next joint. A lane whose distance falls below
+// steadyRelaxTol has relaxed: that joint is dropped, and the lane stops
+// storing while the others step on.
+func (lv *level) stepBlock(sw *stepWork, lo int) {
+	const lanes = sparse.Lanes
+	c := &lv.iter
 	n := len(lv.steady)
-	c.iterA = growFloats(c.iterA, n)
-	c.iterB = growFloats(c.iterB, n)
-	v, next := c.iterA[:n], c.iterB[:n]
-	lv.restrictInto(v, r)
-	first = len(c.slab) / c.dim
-	for k := 0; k <= maxIterates; k++ {
+	group := c.todo[lo:min(lo+lanes, len(c.todo))]
+	sw.v = growFloats(sw.v, lanes*n)
+	sw.next = growFloats(sw.next, lanes*n)
+	sw.sink = growFloats(sw.sink, c.dim)
+	v, next := sw.v, sw.next
+	clear(v)
+	per := (maxIterates + 1) * c.dim
+	var region [lanes][]float64 // each lane's joints; padding lanes have none
+	var count [lanes]int
+	live := len(group)
+	for l, r := range group {
+		region[l] = c.slab[(lo+l)*per : (lo+l+1)*per]
+		if r < 0 {
+			for i, p := range lv.steady {
+				v[i*lanes+l] = p
+			}
+			continue
+		}
+		mass := lv.groupMass[r]
+		for _, idx := range lv.groups[r] {
+			v[idx*lanes+l] = lv.steady[idx] / mass
+		}
+	}
+	for k := 0; k <= maxIterates && live > 0; k++ {
 		if k > 0 {
-			if err := lv.uniform.Step(next, v); err != nil {
+			if err := lv.uniform.Step4(next, v); err != nil {
 				break // cannot happen for matching dimensions; degrade to steady
 			}
 			v, next = next, v
-			if numeric.L1Diff(v, lv.steady) < steadyRelaxTol {
-				break
+		}
+		// Lanes that store iterate k collapse into their k-th joint, the
+		// others into the sink.
+		var dst [lanes][]float64
+		for l := range dst {
+			dst[l] = sw.sink
+			if region[l] != nil && count[l] == k {
+				dst[l] = region[l][k*c.dim : (k+1)*c.dim]
+				clear(dst[l])
 			}
 		}
-		start := len(c.slab)
-		if cap(c.slab)-start < c.dim {
-			// Room for a whole group at once keeps first-use growth to a
-			// few reallocations.
-			c.slab = slices.Grow(c.slab, (maxIterates+1)*c.dim)
+		d := lv.collapse4(&dst, v)
+		for l := range group {
+			if count[l] != k {
+				continue
+			}
+			if k > 0 && d[l] < steadyRelaxTol {
+				live--
+				continue
+			}
+			count[l] = k + 1
 		}
-		c.slab = c.slab[:start+c.dim]
-		j := c.slab[start:]
-		clear(j)
-		lv.collapse(j, v)
-		count++
 	}
-	c.spans[r+1] = iterSpan{first: first, count: count}
-	return first, count
+	for l, r := range group {
+		c.spans[r+1] = iterSpan{first: (lo + l) * (maxIterates + 1), count: count[l]}
+	}
+}
+
+// collapse4 is one fused pass over a lane-interleaved block of iterates v:
+// lane l is collapsed into dst[l] (collapse, adding its zeros too, which
+// changes no sum) and its L1 distance to the steady state is summed in
+// state order, as numeric.L1Diff sums it.
+func (lv *level) collapse4(dst *[sparse.Lanes][]float64, v []float64) (d [sparse.Lanes]float64) {
+	const lanes = sparse.Lanes
+	j0, j1, j2, j3 := dst[0], dst[1], dst[2], dst[3]
+	cell := lv.cell[:len(lv.steady)]
+	var d0, d1, d2, d3 float64
+	for i, p := range lv.steady {
+		x := v[i*lanes : i*lanes+lanes : i*lanes+lanes]
+		d0 += math.Abs(x[0] - p)
+		d1 += math.Abs(x[1] - p)
+		d2 += math.Abs(x[2] - p)
+		d3 += math.Abs(x[3] - p)
+		c := cell[i]
+		j0[c] += x[0]
+		j1[c] += x[1]
+		j2[c] += x[2]
+		j3[c] += x[3]
+	}
+	return [lanes]float64{d0, d1, d2, d3}
 }

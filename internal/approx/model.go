@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"scshare/internal/claim"
 	"scshare/internal/cloud"
 	"scshare/internal/markov"
 	"scshare/internal/queueing"
@@ -48,7 +49,9 @@ type Config struct {
 	// is estimated from the first pass (see package doc and DESIGN.md).
 	Passes int
 	// Solver configures the per-level steady-state solves. Dst and Work are
-	// managed by the level arenas and must be left nil.
+	// managed by the level arenas and must be left nil. Stats, when set,
+	// receives each level build's effort on the calling goroutine, in the
+	// serial schedule's order.
 	Solver markov.SteadyStateOptions
 	// Warm optionally carries level steady states between Solve and
 	// SolveAll calls to seed the per-level solvers (see WarmCache). Leave
@@ -56,9 +59,13 @@ type Config struct {
 	Warm *WarmCache
 }
 
-// defaultTruncEps is the per-summary truncation budget used when
+// DefaultTruncEps is the per-summary truncation budget used when
 // Config.TruncEps is zero; see the field's doc for the calibration.
-const defaultTruncEps = 1e-9
+const DefaultTruncEps = 1e-9
+
+// DefaultPasses is the number of hierarchy passes used when Config.Passes
+// is zero or negative; see the field's doc.
+const DefaultPasses = 2
 
 // Model is the solved hierarchy for one target SC. It is a self-contained
 // snapshot — metrics and state counts are copied out of the solver's arenas
@@ -77,9 +84,13 @@ type Model struct {
 // amortize every per-level allocation; the second solve on a handle runs in
 // the first solve's storage and produces bit-identical metrics.
 //
-// A Solver solves serially and is NOT safe for concurrent use: one handle
-// serves one goroutine at a time. Parallelism belongs above the solver —
-// pool handles per worker, as market.ApproxEvaluator does.
+// A Solver is NOT safe for concurrent use: one handle serves one goroutine
+// at a time, as market.ApproxEvaluator's pool of handles does. Within a
+// solve it uses idle cores on its own: the transient stepping of a level's
+// conditioning groups and the readouts of a SolveAll fixpoint round run on
+// the calling goroutine and up to GOMAXPROCS-1 helpers (claim.Run), with
+// every float and counter bit-identical to GOMAXPROCS 1, the serial
+// schedule.
 type Solver struct {
 	cfg      Config
 	k        int
@@ -88,15 +99,29 @@ type Solver struct {
 	overflow []float64
 
 	// Chain arenas: slots[i] carries level position i of the spine /
-	// per-target chain across passes and solves; readout is the arena of
-	// SolveAll's readout levels.
-	slots   []*levelSlot
-	readout *levelSlot
+	// per-target chain across passes and solves; readouts[w] is readout
+	// worker w's arena for SolveAll's readout levels.
+	slots    []*levelSlot
+	readouts []*levelSlot
+	// steps is the transient-stepping scratch of every level, one entry
+	// per stepping worker.
+	steps []stepWork
 
 	// Reused per-solve scratch.
 	levels   []*level
 	borrow   []float64
+	results  []readoutResult
 	orderBuf []int
+}
+
+// readoutResult is what one readout of a SolveAll fixpoint round hands
+// back for the in-order fold after the round: its metrics or error, and
+// its build's accounting (see fold).
+type readoutResult struct {
+	metrics cloud.Metrics
+	err     error
+	stats   markov.SolveStats
+	dropped []float64
 }
 
 // NewSolver validates the configuration, precomputes the overflow demand
@@ -119,11 +144,11 @@ func NewSolver(cfg Config) (*Solver, error) {
 	}
 	passes := cfg.Passes
 	if passes <= 0 {
-		passes = 2
+		passes = DefaultPasses
 	}
 	trunc := cfg.TruncEps
 	if trunc == 0 {
-		trunc = defaultTruncEps
+		trunc = DefaultTruncEps
 	} else if trunc < 0 {
 		trunc = 0
 	}
@@ -135,10 +160,9 @@ func NewSolver(cfg Config) (*Solver, error) {
 		truncEps: trunc,
 		overflow: overflow,
 		slots:    make([]*levelSlot, k),
-		readout:  newLevelSlot(),
 	}
 	for i := range s.slots {
-		s.slots[i] = newLevelSlot()
+		s.slots[i] = newLevelSlot(&s.steps)
 	}
 	return s, nil
 }
@@ -227,7 +251,9 @@ func (s *Solver) buildChain(target int) ([]*level, error) {
 		var prev *level
 		prevIdx := -1
 		for pos, scIdx := range order {
-			lv, err := s.buildLevel(s.slots[pos], prev, prevIdx, scIdx, demand, target, 0, 0)
+			sl := s.slots[pos]
+			lv, err := s.buildLevel(sl, prev, prevIdx, scIdx, demand, target, 0, 0)
+			s.fold(sl.stats, sl.inter.dropped)
 			if err != nil {
 				return nil, err
 			}
@@ -245,11 +271,12 @@ func (s *Solver) buildChain(target int) ([]*level, error) {
 
 // buildLevel assembles and solves one hierarchy level into the given arena
 // slot: SC scIdx fed by the solved predecessor level (nil for a first
-// level) under the given successor-demand rate. Warm lookups and stores are
-// keyed by warmTarget — the target whose per-target hierarchy this level
-// would belong to — so the shared spine of SolveAll and the chain of
-// Solve(k-1) warm each other, and each readout level shares warmth with
-// Solve(t)'s final level. shiftF/shiftLent install the readout
+// level) under the given successor-demand rate. The build's accounting
+// stays in the slot (stats, inter.dropped) for the caller to fold. Warm
+// lookups and stores are keyed by warmTarget — the target whose
+// per-target hierarchy this level would belong to — so the shared spine
+// of SolveAll and the chain of Solve(k-1) warm each other, and each
+// readout level shares warmth with Solve(t)'s final level. shiftF/shiftLent install the readout
 // self-exclusion shift (see buildReadout); both are 0 for ordinary chain
 // levels.
 func (s *Solver) buildLevel(sl *levelSlot, prev *level, prevIdx, scIdx int, demand float64, warmTarget int, shiftF, shiftLent float64) (*level, error) {
@@ -268,7 +295,8 @@ func (s *Solver) buildLevel(sl *levelSlot, prev *level, prevIdx, scIdx int, dema
 	}
 	sl.peers = peers
 	sl.lv.reset(sc, share, pool, poolDim(*cfg, s.overflow, scIdx, pool))
-	sl.inter.reset(prev, share, peers, cfg.Prune, s.truncEps, cfg.PruneStats)
+	sl.stats = markov.SolveStats{}
+	sl.inter.reset(prev, share, peers, cfg.Prune, s.truncEps)
 	sl.inter.preserveS = prev == nil && demand > 0
 	if shiftF > 0 || shiftLent > 0 {
 		sl.inter.setSelfExclusion(shiftF, shiftLent)
@@ -276,6 +304,7 @@ func (s *Solver) buildLevel(sl *levelSlot, prev *level, prevIdx, scIdx int, dema
 	solver := cfg.Solver
 	solver.Dst = sl.lv.steady
 	solver.Work = &sl.work
+	solver.Stats = &sl.stats
 	if start := cfg.Warm.lookup(s.k, warmTarget, scIdx, sl.lv.numStates()); start != nil {
 		solver.Start = start
 	}
@@ -284,6 +313,19 @@ func (s *Solver) buildLevel(sl *levelSlot, prev *level, prevIdx, scIdx int, dema
 	}
 	cfg.Warm.store(s.k, warmTarget, scIdx, sl.lv.numStates(), sl.lv.steady)
 	return &sl.lv, nil
+}
+
+// fold adds one level build's accounting to the configured sinks: its
+// steady-state solver effort to Config.Solver.Stats and the masses its
+// truncation shed, in shedding order, to Config.PruneStats. Builds fold in
+// the order the serial schedule runs them, so every counter keeps its bits
+// whichever worker ran the build.
+func (s *Solver) fold(stats markov.SolveStats, dropped []float64) {
+	if st := s.cfg.Solver.Stats; st != nil {
+		st.Iterations += stats.Iterations
+		st.Solves += stats.Solves
+	}
+	s.cfg.PruneStats.recordAll(dropped)
 }
 
 // selfExclusionTol is the per-SC borrow-estimate movement (in VMs) below
@@ -306,10 +348,12 @@ const maxReadoutRounds = 2
 // subtraction is iterated to a fixpoint on the borrow estimates. That is
 // ~K+... level solves per vector in place of the K*K (times passes) a
 // per-target loop pays; DESIGN.md §12 spells out what is and is not
-// identical to K per-target Solve calls. The readouts run one after
-// another in one arena; each steps the transients of the last level's
-// conditioning groups it needs on first use, and later readouts reuse them
-// (see level.stepGroup).
+// identical to K per-target Solve calls. The last spine level's
+// conditioning groups are all stepped before the first round (see
+// level.stepAll), so the readouts only read its iterate cache; each
+// round's K-1 readouts are claimed by the caller and up to GOMAXPROCS-1
+// helpers (claim.Run), each in its own readout arena, and their results
+// and accounting are folded in readout order after the round.
 func (s *Solver) SolveAll(opts ...SolveOption) ([]cloud.Metrics, error) {
 	if err := s.applyOpts(opts); err != nil {
 		return nil, err
@@ -339,19 +383,37 @@ func (s *Solver) SolveAll(opts ...SolveOption) ([]cloud.Metrics, error) {
 	for t := 0; t < k-1; t++ {
 		borrow[t] = spine[t].metrics().BorrowRate
 	}
+	last.stepAll()
+	workers := claim.Workers(k-1, 0)
+	for len(s.readouts) < workers {
+		s.readouts = append(s.readouts, newLevelSlot(&s.steps))
+	}
+	if len(s.results) < k-1 {
+		s.results = append(s.results, make([]readoutResult, k-1-len(s.results))...)
+	}
+	results := s.results[:k-1]
 	for round := 0; round < maxReadoutRounds; round++ {
-		moved := false
-		for t := 0; t < k-1; t++ {
-			lv, err := s.buildReadout(last, k-1, t, borrow[t])
-			if err != nil {
-				return nil, err
+		claim.Run(k-1, workers, func(w, t int) {
+			sl, r := s.readouts[w], &results[t]
+			lv, err := s.buildReadout(sl, last, k-1, t, borrow[t])
+			r.err, r.stats = err, sl.stats
+			r.dropped = append(r.dropped[:0], sl.inter.dropped...)
+			if err == nil {
+				r.metrics = lv.metrics()
 			}
-			m := lv.metrics()
-			if math.Abs(m.BorrowRate-borrow[t]) > selfExclusionTol {
+		})
+		moved := false
+		for t := range results {
+			r := &results[t]
+			s.fold(r.stats, r.dropped)
+			if r.err != nil {
+				return nil, r.err
+			}
+			if math.Abs(r.metrics.BorrowRate-borrow[t]) > selfExclusionTol {
 				moved = true
 			}
-			borrow[t] = m.BorrowRate
-			out[t] = m
+			borrow[t] = r.metrics.BorrowRate
+			out[t] = r.metrics
 		}
 		if !moved {
 			break
@@ -361,21 +423,21 @@ func (s *Solver) SolveAll(opts ...SolveOption) ([]cloud.Metrics, error) {
 }
 
 // buildReadout solves SC t's readout level off the shared spine into the
-// readout arena: one final hierarchy level whose predecessor is the
+// readout arena sl: one final hierarchy level whose predecessor is the
 // spine's last level. The spine includes SC t among the last level's
 // predecessors, so its summary counts SC t's own borrowing as foreign pool
 // usage; the self-exclusion shift subtracts that usage in expectation,
 // split between the last SC's lent count (the borrowed VMs that belong to
 // SC lastIdx) and the foreign usage F (those that belong to the remaining
 // pool members).
-func (s *Solver) buildReadout(last *level, lastIdx, t int, borrowEst float64) (*level, error) {
+func (s *Solver) buildReadout(sl *levelSlot, last *level, lastIdx, t int, borrowEst float64) (*level, error) {
 	shiftF, shiftLent := 0.0, 0.0
 	if pool := cloud.PoolExcluding(s.cfg.Shares, t); pool > 0 && borrowEst > 0 {
 		wLast := float64(s.cfg.Shares[lastIdx]) / float64(pool)
 		shiftLent = borrowEst * wLast
 		shiftF = borrowEst * (1 - wLast)
 	}
-	return s.buildLevel(s.readout, last, lastIdx, t, 0, t, shiftF, shiftLent)
+	return s.buildLevel(sl, last, lastIdx, t, 0, t, shiftF, shiftLent)
 }
 
 // successorDemand estimates the rate at which the rest of the federation

@@ -14,18 +14,25 @@ type PruneCounter struct {
 	joints uint64
 }
 
-// record accounts one truncated summary. Nil receivers and zero masses are
-// no-ops, so the hot path pays nothing when truncation is disabled or idle.
-func (p *PruneCounter) record(mass float64) {
-	if p == nil || mass <= 0 {
+// recordAll accounts truncated summaries in the given order, under one
+// lock: the total is a float sum, so the order fixes its bits. A nil
+// receiver and non-positive masses are no-ops, so nothing is paid when
+// truncation is disabled or idle.
+func (p *PruneCounter) recordAll(masses []float64) {
+	if p == nil || len(masses) == 0 {
 		return
 	}
 	p.mu.Lock()
-	p.total += mass
-	if mass > p.max {
-		p.max = mass
+	for _, mass := range masses {
+		if mass <= 0 {
+			continue
+		}
+		p.total += mass
+		if mass > p.max {
+			p.max = mass
+		}
+		p.joints++
 	}
-	p.joints++
 	p.mu.Unlock()
 }
 

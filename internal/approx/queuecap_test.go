@@ -89,12 +89,12 @@ func TestQueueCapFluxBound(t *testing.T) {
 // the queue cut at qmax instead of queueCap's choice when qmax > 0.
 func solveFirstLevel(t *testing.T, sc cloud.SC, share, pool, poolDim int, demand float64, qmax int, tol float64) *level {
 	t.Helper()
-	sl := newLevelSlot()
+	sl := newLevelSlot(new([]stepWork))
 	sl.lv.reset(sc, share, pool, poolDim)
 	if qmax > 0 {
 		sl.lv.qmax = qmax
 	}
-	sl.inter.reset(nil, share, nil, 0, defaultTruncEps, nil)
+	sl.inter.reset(nil, share, nil, 0, DefaultTruncEps)
 	sl.inter.preserveS = demand > 0
 	if err := sl.build(demand, markov.SteadyStateOptions{Tol: tol, Work: &sl.work}); err != nil {
 		t.Fatal(err)

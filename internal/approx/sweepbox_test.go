@@ -68,9 +68,13 @@ func sweepBoxConfig(v boxVector, warm *WarmCache, prune *PruneCounter, solver ma
 }
 
 // solveSweepBox runs one SolveAll per box vector, one after another, each
-// on a fresh handle, threading one warm cache through the whole box.
+// on a fresh handle, threading one fresh warm cache through the whole box.
 func solveSweepBox(box []boxVector, prune *PruneCounter, solver markov.SteadyStateOptions) ([][]cloud.Metrics, error) {
-	warm := NewWarmCache()
+	return solveBox(box, NewWarmCache(), prune, solver)
+}
+
+// solveBox is solveSweepBox threading the given warm cache.
+func solveBox(box []boxVector, warm *WarmCache, prune *PruneCounter, solver markov.SteadyStateOptions) ([][]cloud.Metrics, error) {
 	out := make([][]cloud.Metrics, len(box))
 	for i, v := range box {
 		s, err := NewSolver(sweepBoxConfig(v, warm, prune, solver))

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"scshare/internal/claim"
 	"scshare/internal/cloud"
 	"scshare/internal/queueing"
 )
@@ -16,6 +14,12 @@ import (
 // ErrNoEquilibrium is returned when the repeated game fails to converge
 // within the round budget.
 var ErrNoEquilibrium = errors.New("market: best-response dynamics did not converge")
+
+// The game's defaults for a zero Game.TabuDistance and Game.MaxRounds.
+const (
+	DefaultTabuDistance = 2
+	DefaultMaxRounds    = 60
+)
 
 // Game is the repeated non-cooperative sharing game of Algorithm 1: each
 // round every SC best-responds (via Tabu search) with the share count
@@ -29,9 +33,11 @@ type Game struct {
 	Evaluator Evaluator
 	// Gamma is the utility exponent of Eq. (2), shared by all SCs.
 	Gamma float64
-	// TabuDistance is the best-response search neighborhood (default 2).
+	// TabuDistance is the best-response search neighborhood
+	// (DefaultTabuDistance when zero or negative).
 	TabuDistance int
-	// MaxRounds bounds the repeated game (default 60).
+	// MaxRounds bounds the repeated game (DefaultMaxRounds when zero or
+	// negative).
 	MaxRounds int
 	// MaxShares caps each SC's strategy space; defaults to its VM count.
 	MaxShares []int
@@ -128,11 +134,11 @@ func (g *Game) RunContext(ctx context.Context, initial []int) (*Outcome, error) 
 
 	distance := g.TabuDistance
 	if distance <= 0 {
-		distance = 2
+		distance = DefaultTabuDistance
 	}
 	maxRounds := g.MaxRounds
 	if maxRounds <= 0 {
-		maxRounds = 60
+		maxRounds = DefaultMaxRounds
 	}
 
 	out := &Outcome{BaselineCosts: baseCosts, BaselineUtils: baseUtils}
@@ -246,46 +252,16 @@ func (g *Game) respond(ctx context.Context, base []int, i, maxShare, distance in
 }
 
 // respondAll fills responses with every non-skipped SC's best response to
-// base, spread over min(Workers, K) goroutines by runIndexed.
+// base, spread over min(Workers, K) goroutines by claim.Run.
 // responses[i] is written only by the goroutine that claimed index i, so
 // the merge order (and therefore the dynamics) is independent of
 // scheduling.
 func (g *Game) respondAll(ctx context.Context, base, maxShares []int, distance int, baseCosts, baseUtils []float64, responses []bestResponse) {
-	runIndexed(len(responses), g.Workers, func(i int) {
+	claim.Run(len(responses), g.Workers, func(_, i int) {
 		if !g.skip[i] {
 			responses[i] = g.respond(ctx, base, i, maxShares[i], distance, baseCosts, baseUtils)
 		}
 	})
-}
-
-// runIndexed calls fn(i) for every i in [0, n) and returns once every call
-// has returned. The calling goroutine and up to min(workers, n)-1 helpers
-// claim indices from one shared counter until none are left, so n = 1 or
-// workers = 1 starts no goroutine. workers <= 0 means GOMAXPROCS.
-func runIndexed(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // RunMultiStart plays the game from several initial vectors and returns the
@@ -293,7 +269,7 @@ func runIndexed(n, workers int, fn func(i int)) {
 // paper uses the same device to select among multiple equilibria
 // (Sect. VII, "the feasibility of the Tatonnement process").
 //
-// The starts are independent, so runIndexed spreads them over up to
+// The starts are independent, so claim.Run spreads them over up to
 // GOMAXPROCS goroutines, the caller's among them (a lone start starts
 // none); the evaluators (Memoize, SimEvaluator,
 // WithParticipation) deduplicate shared solves across the runs. Selection
@@ -319,7 +295,7 @@ func (g *Game) RunMultiStartContext(ctx context.Context, initials [][]int, alpha
 	}
 	outs := make([]*Outcome, len(initials))
 	errs := make([]error, len(initials))
-	runIndexed(len(initials), 0, func(i int) {
+	claim.Run(len(initials), 0, func(_, i int) {
 		outs[i], errs[i] = g.RunContext(ctx, initials[i])
 	})
 

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"scshare/internal/claim"
 	"scshare/internal/cloud"
 )
 
@@ -98,8 +99,9 @@ func (we *WelfareEvaluator) metricsFor(shares []int) ([]cloud.Metrics, error) {
 const primeCap = 1024
 
 // Prime solves the whole-vector metrics for every sharing vector in the
-// maxShares box across a bounded worker pool, populating the caches the
-// ...At methods (and, through the shared evaluator, the games) read.
+// maxShares box on up to workers goroutines, the caller's among them (see
+// claim.Run), populating the caches the ...At methods (and, through the
+// shared evaluator, the games) read.
 //
 // It is the batch sweep driver's speculative pre-enumeration: metrics are
 // price-independent, so one parallel pass over the box serves every (price,
@@ -113,8 +115,8 @@ const primeCap = 1024
 // It is a no-op when the box exceeds primeCap or fewer than two workers
 // are available; evaluation errors are skipped, left for the lazy path to
 // surface if a search visits the offending vector. Once ctx is done no
-// further vector is dispatched: Prime returns as soon as the solves
-// already in flight finish. A nil maxShares means each SC's full VM count.
+// further vector is solved: Prime returns as soon as the solves already in
+// flight finish. A nil maxShares means each SC's full VM count.
 func (we *WelfareEvaluator) Prime(ctx context.Context, maxShares []int, workers int) {
 	k := len(we.fed.SCs)
 	if maxShares == nil {
@@ -133,36 +135,17 @@ func (we *WelfareEvaluator) Prime(ctx context.Context, maxShares []int, workers 
 			return
 		}
 	}
-	if workers > space {
-		workers = space
-	}
-	if workers <= 1 {
+	if min(workers, space) <= 1 {
 		return
 	}
-	next := make(chan []int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for shares := range next {
-				_, _ = we.metricsFor(shares)
-			}
-		}()
-	}
-	for _, shares := range primeOrder(maxShares) {
-		// Checked before every send: a select with both cases ready picks
-		// at random, and a canceled Prime must not hand out more work.
-		if ctx.Err() != nil {
-			break
+	order := primeOrder(maxShares)
+	claim.Run(len(order), workers, func(_, i int) {
+		// Checked at every claim: once ctx is done the remaining claims
+		// solve nothing, and only the solves already in flight finish.
+		if ctx.Err() == nil {
+			_, _ = we.metricsFor(order[i])
 		}
-		select {
-		case next <- shares:
-		case <-ctx.Done():
-		}
-	}
-	close(next)
-	wg.Wait()
+	})
 }
 
 // primeOrder lists the maxShares box longest-first: vectors with more

@@ -44,6 +44,14 @@ func (d *DTMC) Step(dst, cur []float64) error {
 	return d.p.MulVecTTo(dst, cur)
 }
 
+// Step4 is Step over sparse.Lanes distributions stored interleaved (lane l
+// of state i at index i*sparse.Lanes+l), in one pass over P; each lane's
+// result is bit-identical to Step on that lane alone (see
+// sparse.CSR.MulVecTTo4). dst and cur must not alias.
+func (d *DTMC) Step4(dst, cur []float64) error {
+	return d.p.MulVecTTo4(dst, cur)
+}
+
 // SteadyState computes the stationary distribution by power iteration. The
 // iteration runs in workspace buffers when opts.Work is provided; the
 // result is delivered through opts.Dst (or a fresh vector) and never

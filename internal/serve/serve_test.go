@@ -16,6 +16,7 @@ import (
 	"scshare/internal/cloud"
 	"scshare/internal/core"
 	"scshare/internal/market"
+	"scshare/internal/spec"
 )
 
 // testSpec is a fast 2-SC federation under the fluid model: the served
@@ -288,6 +289,30 @@ func TestHealthzAndMetrics(t *testing.T) {
 	p := snap.Pruning
 	if (p.TruncatedJoints == 0) != (p.TruncatedMass == 0) || p.MaxSummaryMass > p.TruncatedMass || p.TruncatedMass >= 1 {
 		t.Fatalf("pruning account inconsistent: %+v", p)
+	}
+}
+
+// TestEquivalentSpecsShareFramework: a spec that spells out defaults
+// (tabu, maxRounds, an empty approx block) configures the same framework
+// as the bare spec, so the two requests must leave one framework in
+// /metrics, not pay two cold warm-ups.
+func TestEquivalentSpecsShareFramework(t *testing.T) {
+	s := New(Options{})
+	spelled := testSpec()
+	spelled.Tabu, spelled.MaxRounds = market.DefaultTabuDistance, market.DefaultMaxRounds
+	spelled.Approx = &spec.Approx{}
+	for _, sp := range []federationSpec{testSpec(), spelled} {
+		if rec := postJSON(t, s, "/v1/advise", adviseRequest{federationSpec: sp, Price: 0.5}); rec.Code != http.StatusOK {
+			t.Fatalf("advise = %d: %s", rec.Code, rec.Body)
+		}
+	}
+	rec := get(s, "/metrics")
+	var snap metricsSnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Cache.Frameworks != 1 {
+		t.Fatalf("two equivalent specs built %d frameworks, want 1", snap.Cache.Frameworks)
 	}
 }
 

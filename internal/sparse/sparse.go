@@ -250,6 +250,44 @@ func (m *CSR) MulVecTTo(dst, x []float64) error {
 	return nil
 }
 
+// Lanes is the number of vectors MulVecTTo4 multiplies in one pass.
+const Lanes = 4
+
+// MulVecTTo4 is MulVecTTo over Lanes vectors at once, stored interleaved:
+// lane l of entry i sits at x[i*Lanes+l], in dst as in x. One pass over the
+// rows pushes all four lanes, reading each row's indices and values once.
+// Every lane's result is bit-identical to MulVecTTo on that lane alone:
+// each column accumulates its row contributions in the same row order, and
+// a lane whose entry is zero on a row adds val*0 = +0, which leaves any sum
+// unchanged (the sums start at +0, so none is ever -0). Rows whose entry is
+// zero in every lane are skipped. dst and x must not alias.
+func (m *CSR) MulVecTTo4(dst, x []float64) error {
+	if len(x) != Lanes*m.Rows || len(dst) != Lanes*m.Cols {
+		return ErrShape
+	}
+	clear(dst)
+	for r := 0; r < m.Rows; r++ {
+		xr := x[r*Lanes : r*Lanes+Lanes : r*Lanes+Lanes]
+		x0, x1, x2, x3 := xr[0], xr[1], xr[2], xr[3]
+		if x0 == 0 && x1 == 0 && x2 == 0 && x3 == 0 {
+			continue
+		}
+		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+		cols := m.ColIdx[lo:hi]
+		vals := m.Val[lo:hi]
+		vals = vals[:len(cols)]
+		for i, c := range cols {
+			v := vals[i]
+			d := dst[c*Lanes : c*Lanes+Lanes : c*Lanes+Lanes]
+			d[0] += v * x0
+			d[1] += v * x1
+			d[2] += v * x2
+			d[3] += v * x3
+		}
+	}
+	return nil
+}
+
 // RowSums returns the vector of row sums.
 func (m *CSR) RowSums() []float64 {
 	return m.RowSumsInto(nil)

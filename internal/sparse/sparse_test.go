@@ -295,6 +295,66 @@ func TestMulVecTToMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestMulVecTTo4MatchesMulVecTTo pins the 4-lane kernel bit for bit to
+// four MulVecTTo calls, one per lane, on random matrices with negative
+// values: lanes that are zero throughout, rows that are zero in only some
+// lanes (signed zeros included), and padded blocks whose trailing lanes are
+// all zero, as the approx stepping runs them for fewer than four groups.
+func TestMulVecTTo4MatchesMulVecTTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		rows, cols := 1+rng.Intn(40), 1+rng.Intn(40)
+		b := NewBuilder(rows, cols)
+		for k := 0; k < 4*rows; k++ {
+			b.Add(rng.Intn(rows), rng.Intn(cols), rng.NormFloat64())
+		}
+		m := b.Build()
+		// used lanes hold data; the rest are the padding of a short block.
+		used := 1 + trial%Lanes
+		lanes := make([][]float64, Lanes)
+		x := make([]float64, Lanes*rows)
+		for l := range lanes {
+			lanes[l] = make([]float64, rows)
+			if l >= used || trial%7 == l {
+				continue // all-zero lane
+			}
+			for r := range lanes[l] {
+				switch rng.Intn(4) {
+				case 0: // zero in this lane only
+				case 1:
+					lanes[l][r] = math.Copysign(0, -1)
+				default:
+					lanes[l][r] = rng.NormFloat64()
+				}
+				x[r*Lanes+l] = lanes[l][r]
+			}
+		}
+		got := make([]float64, Lanes*cols)
+		for i := range got {
+			got[i] = math.NaN() // every entry must be overwritten
+		}
+		if err := m.MulVecTTo4(got, x); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, cols)
+		for l, lane := range lanes {
+			if err := m.MulVecTTo(want, lane); err != nil {
+				t.Fatal(err)
+			}
+			for c, w := range want {
+				if g := got[c*Lanes+l]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("trial %d lane %d: dst[%d] = %v (%#x), MulVecTTo %v (%#x)",
+						trial, l, c, g, math.Float64bits(g), w, math.Float64bits(w))
+				}
+			}
+		}
+	}
+	m := NewBuilder(2, 3).Build()
+	if err := m.MulVecTTo4(make([]float64, Lanes*2), make([]float64, Lanes*3)); err != ErrShape {
+		t.Fatalf("transposed shapes: err %v, want ErrShape", err)
+	}
+}
+
 // TestBuilderReset pins the arena contract: a Reset builder accepts a new
 // shape, produces the same matrix a fresh builder would, and a BuildInto on
 // a previously built CSR reuses its storage without allocating.

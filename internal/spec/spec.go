@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -77,8 +78,10 @@ func finite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
-// Normalize applies defaults and validates everything that can be checked
-// without solving. It must run before Key, Config, or FederationAt.
+// Normalize applies defaults, validates everything that can be checked
+// without solving, and folds every setting equivalent to its zero value to
+// that value (see foldDefaults). It must run before Key, Config, or
+// FederationAt.
 func (sp *Federation) Normalize() error {
 	if len(sp.SCs) == 0 {
 		return fmt.Errorf("request needs at least one SC")
@@ -128,6 +131,21 @@ func (sp *Federation) Normalize() error {
 	if sp.Approx != nil && !finite(sp.Approx.TruncEps) {
 		return fmt.Errorf("bad approx.truncEps %v: want a finite budget (negative disables)", sp.Approx.TruncEps)
 	}
+	for _, c := range []struct {
+		name, want string
+		v          int
+	}{
+		{"maxShare", "a share cap >= 0 (0 = every VM)", sp.MaxShare},
+		{"tabu", "a search distance >= 0 (0 = the default)", sp.Tabu},
+		{"maxRounds", "a round budget >= 0 (0 = the default)", sp.MaxRounds},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("bad %s %d: want %s", c.name, c.v, c.want)
+		}
+	}
+	if sp.Approx != nil && sp.Approx.Passes < 0 {
+		return fmt.Errorf("bad approx.passes %d: want a pass count >= 0 (0 = the default)", sp.Approx.Passes)
+	}
 	if sp.Model == "" {
 		sp.Model = "approx"
 	}
@@ -139,7 +157,42 @@ func (sp *Federation) Normalize() error {
 	if err := sp.FederationAt(0).Validate(); err != nil {
 		return err
 	}
+	sp.foldDefaults()
 	return nil
+}
+
+// foldDefaults rewrites every setting that configures what its zero value
+// configures to that zero value, so equivalent specs get one Key: a game or
+// model knob equal to its default, a maxShare that caps no SC below its
+// VMs, and an approx block left with nothing set.
+func (sp *Federation) foldDefaults() {
+	if sp.Tabu == market.DefaultTabuDistance {
+		sp.Tabu = 0
+	}
+	if sp.MaxRounds == market.DefaultMaxRounds {
+		sp.MaxRounds = 0
+	}
+	if sp.MaxShare > 0 && !slices.ContainsFunc(sp.SCs, func(sc SC) bool { return sp.MaxShare < sc.VMs }) {
+		sp.MaxShare = 0
+	}
+	if sp.Approx == nil {
+		return
+	}
+	// A copy: the caller's block may be shared with other specs.
+	a := *sp.Approx
+	if a.Passes == approx.DefaultPasses {
+		a.Passes = 0
+	}
+	if a.Prune == approx.DefaultPrune {
+		a.Prune = 0
+	}
+	if a.TruncEps == approx.DefaultTruncEps {
+		a.TruncEps = 0
+	}
+	sp.Approx = nil
+	if a != (Approx{}) {
+		sp.Approx = &a
+	}
 }
 
 // FederationAt materializes the cloud federation at the given price.
@@ -193,7 +246,8 @@ func (sp *Federation) Config() core.Config {
 
 // Key canonicalizes the normalized spec for the framework cache. JSON of
 // the normalized struct is deterministic (fixed field order, defaults
-// applied), so equal configurations — and only those — share a framework.
+// applied, settings equivalent to their zero value folded to it), so equal
+// configurations — and only those — share a framework.
 func (sp *Federation) Key() (string, error) {
 	b, err := json.Marshal(sp)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"scshare/internal/approx"
 	"scshare/internal/market"
 )
 
@@ -192,5 +193,90 @@ func TestKey(t *testing.T) {
 	d.MaxShare = 4
 	if ka, kd := key(a), key(d); ka == kd {
 		t.Errorf("specs with MaxShare 3 and 4 share the key %s", ka)
+	}
+}
+
+// TestEquivalentSpecsShareKey pins the framework-cache key to the
+// configuration it builds: every variant below configures the same game
+// and model as the bare spec, so each must normalize to the bare spec's
+// key; a negative count is rejected with an error naming its field.
+func TestEquivalentSpecsShareKey(t *testing.T) {
+	base := func() Federation {
+		return Federation{SCs: []SC{{VMs: 10, ArrivalRate: 5.8}, {VMs: 10, ArrivalRate: 8.4}}}
+	}
+	want := base()
+	if err := want.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	wantKey, err := want.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Federation)
+		bad  string // the field a rejection must name; "" = equivalent
+	}{
+		{name: "tabu at its default", edit: func(sp *Federation) { sp.Tabu = market.DefaultTabuDistance }},
+		{name: "maxRounds at its default", edit: func(sp *Federation) { sp.MaxRounds = market.DefaultMaxRounds }},
+		{name: "maxShare equal to every SC's VMs", edit: func(sp *Federation) { sp.MaxShare = 10 }},
+		{name: "maxShare above every SC's VMs", edit: func(sp *Federation) { sp.MaxShare = 25 }},
+		{name: "empty approx block", edit: func(sp *Federation) { sp.Approx = &Approx{} }},
+		{name: "approx passes at its default", edit: func(sp *Federation) { sp.Approx = &Approx{Passes: approx.DefaultPasses} }},
+		{name: "approx prune at its default", edit: func(sp *Federation) { sp.Approx = &Approx{Prune: approx.DefaultPrune} }},
+		{name: "approx truncEps at its default", edit: func(sp *Federation) { sp.Approx = &Approx{TruncEps: approx.DefaultTruncEps} }},
+		{name: "every default at once", edit: func(sp *Federation) {
+			sp.Tabu, sp.MaxRounds, sp.MaxShare = market.DefaultTabuDistance, market.DefaultMaxRounds, 10
+			sp.Approx = &Approx{Passes: approx.DefaultPasses, Prune: approx.DefaultPrune, TruncEps: approx.DefaultTruncEps}
+		}},
+		{name: "negative tabu", edit: func(sp *Federation) { sp.Tabu = -1 }, bad: "tabu"},
+		{name: "negative maxRounds", edit: func(sp *Federation) { sp.MaxRounds = -2 }, bad: "maxRounds"},
+		{name: "negative maxShare", edit: func(sp *Federation) { sp.MaxShare = -3 }, bad: "maxShare"},
+		{name: "negative approx passes", edit: func(sp *Federation) { sp.Approx = &Approx{Passes: -1} }, bad: "approx.passes"},
+	} {
+		sp := base()
+		tc.edit(&sp)
+		err := sp.Normalize()
+		if tc.bad != "" {
+			if err == nil || !strings.Contains(err.Error(), "bad "+tc.bad+" ") {
+				t.Errorf("%s: Normalize error %v, want one naming %s", tc.name, err, tc.bad)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if key, err := sp.Key(); err != nil || key != wantKey {
+			t.Errorf("%s: key %s (%v), want %s", tc.name, key, err, wantKey)
+		}
+	}
+	// Settings that do change the configuration keep their own key.
+	for _, edit := range []func(*Federation){
+		func(sp *Federation) { sp.Tabu = 3 },
+		func(sp *Federation) { sp.MaxRounds = 10 },
+		func(sp *Federation) { sp.MaxShare = 9 },
+		func(sp *Federation) { sp.Approx = &Approx{Passes: 1} },
+		func(sp *Federation) { sp.Approx = &Approx{PoolCap: 4} },
+	} {
+		sp := base()
+		edit(&sp)
+		if err := sp.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if key, _ := sp.Key(); key == wantKey {
+			t.Errorf("%s shares the bare spec's key", key)
+		}
+	}
+	// Folding copies the approx block instead of writing through the
+	// caller's pointer.
+	shared := &Approx{Passes: approx.DefaultPasses, PoolCap: 4}
+	sp := base()
+	sp.Approx = shared
+	if err := sp.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if shared.Passes != approx.DefaultPasses || sp.Approx.Passes != 0 {
+		t.Errorf("caller's block %+v, normalized %+v: want the caller's untouched and the copy folded", *shared, *sp.Approx)
 	}
 }

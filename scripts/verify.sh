@@ -34,15 +34,20 @@ if [[ -n "$unformatted" ]]; then
 fi
 
 # Kernel bits and solver accuracy, uninstrumented: the recorded sweep-box
-# bits, handle reuse and the sparse kernels against their reference loops;
-# the sweep box's metrics against a tight-tolerance solve, the queue cap's
-# flux bound and the steady tail it cuts off, and the Gauss-Seidel solver
-# against its reference loop's fixed point. A kernel change that moves one
-# bit, or a solver or truncation change that loses accuracy, fails here in
-# seconds instead of after the race suite.
+# bits, handle reuse, the in-solve helpers against GOMAXPROCS 1 and the
+# sparse kernels against their reference loops (the 4-lane kernel against
+# four single-lane calls); the sweep box's metrics against a
+# tight-tolerance solve, the queue cap's flux bound and the steady tail it
+# cuts off, and the Gauss-Seidel solver against its reference loop's fixed
+# point. A kernel change that moves one bit, or a solver or truncation
+# change that loses accuracy, fails here in seconds instead of after the
+# race suite. The GOMAXPROCS test then runs five more times under -race:
+# its helpers share the level they step and the spine level the readouts
+# read, and a race that moves no bit in one run may in another.
 echo "==> kernel bits and solver accuracy"
-go test -count=1 -run 'TestSweepBoxBitIdentity|TestSweepBoxRelaxedAccuracy|TestQueueCapFluxBound|TestQueueCapTailMass|TestSolverReuseBitIdentical|TestGaussSeidelMatchesReference|TestMulVecTToMatchesNaive|TestBuildOrderIndependentProperty' \
+go test -count=1 -run 'TestSweepBoxBitIdentity|TestSweepBoxRelaxedAccuracy|TestQueueCapFluxBound|TestQueueCapTailMass|TestSolverReuseBitIdentical|TestGOMAXPROCSBitIdentity|TestGaussSeidelMatchesReference|TestMulVecTToMatchesNaive|TestMulVecTTo4MatchesMulVecTTo|TestBuildOrderIndependentProperty' \
     ./internal/approx/ ./internal/markov/ ./internal/sparse/
+go test -race -count=5 -timeout 30m -run 'TestGOMAXPROCSBitIdentity' ./internal/approx/
 
 # perfbench is a module of its own, so ./... above does not reach it. Its
 # harness tests (tail percentile, calibration, fail_ratio counting, and the
