@@ -16,8 +16,16 @@ import (
 // shared counter until none are left, so n <= 1 or workers = 1 starts no
 // goroutine and runs the items in index order. w identifies the claiming
 // worker, so a caller can hand each worker its own scratch: no two calls
-// with the same w ever overlap. workers <= 0 means GOMAXPROCS.
+// with the same w ever overlap. workers <= 0 means GOMAXPROCS. A single
+// worker runs a plain loop, so the serial path allocates nothing.
 func Run(n, workers int, fn func(w, i int)) {
+	all := Workers(n, workers)
+	if all == 1 {
+		for i := range n {
+			fn(0, i)
+		}
+		return
+	}
 	var next atomic.Int64
 	work := func(w int) {
 		for {
@@ -29,7 +37,7 @@ func Run(n, workers int, fn func(w, i int)) {
 		}
 	}
 	var wg sync.WaitGroup
-	for w, all := 1, Workers(n, workers); w < all; w++ {
+	for w := 1; w < all; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -40,3 +40,15 @@ func TestRunClaimsEachIndexOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestRunSerialAllocFree pins the serial path to zero allocations: with
+// one worker, or at most one item, Run is a plain loop on the caller.
+func TestRunSerialAllocFree(t *testing.T) {
+	sum := 0
+	fn := func(_, i int) { sum += i }
+	for _, tc := range []struct{ n, workers int }{{8, 1}, {1, 4}, {0, 4}, {1, 0}} {
+		if allocs := testing.AllocsPerRun(100, func() { Run(tc.n, tc.workers, fn) }); allocs != 0 {
+			t.Errorf("n=%d workers=%d: Run allocates %v times", tc.n, tc.workers, allocs)
+		}
+	}
+}

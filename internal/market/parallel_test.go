@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -120,7 +121,8 @@ func TestShardedCachePerTargetStress(t *testing.T) {
 // TestMemoHitAllocFree pins the memo cache's hit path to zero
 // allocations: a hit builds its key on the stack and looks it up without
 // converting it to a string, on the whole-vector path (Evaluate and
-// EvaluateAll) and on the per-target path alike.
+// EvaluateAll) and on the per-target path alike, and a batch of probes
+// that all hit allocates nothing either.
 func TestMemoHitAllocFree(t *testing.T) {
 	fed := testFederation()
 	shares := []int{2, 1, 3}
@@ -128,6 +130,23 @@ func TestMemoHitAllocFree(t *testing.T) {
 	perTarget := Memoize(EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
 		return cloud.Metrics{Utilization: float64(shares[target])}, nil
 	}))
+	var probes []probe
+	for i := range shares {
+		for s := range 4 {
+			probes = append(probes, probe{sc: i, share: s})
+		}
+	}
+	batch := func(ev Evaluator) func() error {
+		return func() error {
+			ev.(probeBatcher).evaluateProbes(context.Background(), shares, probes, 1)
+			for _, p := range probes {
+				if !p.known || p.err != nil {
+					return fmt.Errorf("probe %+v unanswered", p)
+				}
+			}
+			return nil
+		}
+	}
 	for _, tc := range []struct {
 		name   string
 		lookup func() error
@@ -135,6 +154,8 @@ func TestMemoHitAllocFree(t *testing.T) {
 		{"Evaluate", func() error { _, err := all.Evaluate(shares, 1); return err }},
 		{"EvaluateAll", func() error { _, err := all.EvaluateAll(shares); return err }},
 		{"per-target Evaluate", func() error { _, err := perTarget.Evaluate(shares, 1); return err }},
+		{"probe batch", batch(all)},
+		{"per-target probe batch", batch(perTarget)},
 	} {
 		if err := tc.lookup(); err != nil { // the miss that fills the cache
 			t.Fatal(err)

@@ -293,15 +293,18 @@ func TestHealthzAndMetrics(t *testing.T) {
 }
 
 // TestEquivalentSpecsShareFramework: a spec that spells out defaults
-// (tabu, maxRounds, an empty approx block) configures the same framework
-// as the bare spec, so the two requests must leave one framework in
-// /metrics, not pay two cold warm-ups.
+// (tabu, maxRounds, an empty approx block) or sets a negative approx prune,
+// which means the default, configures the same framework as the bare spec,
+// so the three requests must leave one framework in /metrics, not pay
+// three cold warm-ups.
 func TestEquivalentSpecsShareFramework(t *testing.T) {
 	s := New(Options{})
 	spelled := testSpec()
 	spelled.Tabu, spelled.MaxRounds = market.DefaultTabuDistance, market.DefaultMaxRounds
 	spelled.Approx = &spec.Approx{}
-	for _, sp := range []federationSpec{testSpec(), spelled} {
+	negPrune := testSpec()
+	negPrune.Approx = &spec.Approx{Prune: -1}
+	for _, sp := range []federationSpec{testSpec(), spelled, negPrune} {
 		if rec := postJSON(t, s, "/v1/advise", adviseRequest{federationSpec: sp, Price: 0.5}); rec.Code != http.StatusOK {
 			t.Fatalf("advise = %d: %s", rec.Code, rec.Body)
 		}
@@ -312,7 +315,7 @@ func TestEquivalentSpecsShareFramework(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap.Cache.Frameworks != 1 {
-		t.Fatalf("two equivalent specs built %d frameworks, want 1", snap.Cache.Frameworks)
+		t.Fatalf("three equivalent specs built %d frameworks, want 1", snap.Cache.Frameworks)
 	}
 }
 

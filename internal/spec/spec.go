@@ -164,7 +164,10 @@ func (sp *Federation) Normalize() error {
 // foldDefaults rewrites every setting that configures what its zero value
 // configures to that zero value, so equivalent specs get one Key: a game or
 // model knob equal to its default, a maxShare that caps no SC below its
-// VMs, and an approx block left with nothing set.
+// VMs, and an approx block left with nothing set. Negative approx settings
+// fold too: a negative prune means the default, so it folds to 0; every
+// negative truncEps disables truncation and every negative poolCap models
+// the full pool, so each folds to -1.
 func (sp *Federation) foldDefaults() {
 	if sp.Tabu == market.DefaultTabuDistance {
 		sp.Tabu = 0
@@ -183,11 +186,16 @@ func (sp *Federation) foldDefaults() {
 	if a.Passes == approx.DefaultPasses {
 		a.Passes = 0
 	}
-	if a.Prune == approx.DefaultPrune {
+	if a.Prune < 0 || a.Prune == approx.DefaultPrune {
 		a.Prune = 0
 	}
 	if a.TruncEps == approx.DefaultTruncEps {
 		a.TruncEps = 0
+	} else if a.TruncEps < 0 {
+		a.TruncEps = -1
+	}
+	if a.PoolCap < 0 {
+		a.PoolCap = -1
 	}
 	sp.Approx = nil
 	if a != (Approx{}) {

@@ -225,6 +225,7 @@ func TestEquivalentSpecsShareKey(t *testing.T) {
 		{name: "approx passes at its default", edit: func(sp *Federation) { sp.Approx = &Approx{Passes: approx.DefaultPasses} }},
 		{name: "approx prune at its default", edit: func(sp *Federation) { sp.Approx = &Approx{Prune: approx.DefaultPrune} }},
 		{name: "approx truncEps at its default", edit: func(sp *Federation) { sp.Approx = &Approx{TruncEps: approx.DefaultTruncEps} }},
+		{name: "negative approx prune", edit: func(sp *Federation) { sp.Approx = &Approx{Prune: -1} }},
 		{name: "every default at once", edit: func(sp *Federation) {
 			sp.Tabu, sp.MaxRounds, sp.MaxShare = market.DefaultTabuDistance, market.DefaultMaxRounds, 10
 			sp.Approx = &Approx{Passes: approx.DefaultPasses, Prune: approx.DefaultPrune, TruncEps: approx.DefaultTruncEps}
@@ -249,6 +250,25 @@ func TestEquivalentSpecsShareKey(t *testing.T) {
 		}
 		if key, err := sp.Key(); err != nil || key != wantKey {
 			t.Errorf("%s: key %s (%v), want %s", tc.name, key, err, wantKey)
+		}
+	}
+	// The negative settings that each mean one thing share one key, apart
+	// from the bare spec's.
+	for _, pair := range [][2]Approx{
+		{{TruncEps: -1}, {TruncEps: -2}},
+		{{PoolCap: -1}, {PoolCap: -5}},
+	} {
+		var keys [2]string
+		for i := range pair {
+			sp := base()
+			sp.Approx = &pair[i]
+			if err := sp.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			keys[i], _ = sp.Key()
+		}
+		if keys[0] != keys[1] || keys[0] == wantKey {
+			t.Errorf("%+v and %+v: keys %s and %s, want one key apart from %s", pair[0], pair[1], keys[0], keys[1], wantKey)
 		}
 	}
 	// Settings that do change the configuration keep their own key.
