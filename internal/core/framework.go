@@ -58,7 +58,7 @@ type Config struct {
 // Framework is a configured SC-Share instance.
 type Framework struct {
 	cfg  Config
-	eval market.Evaluator
+	eval market.AllEvaluator
 	// bases holds every SC's no-sharing metrics, as New took them from
 	// the participation evaluator: the games read them, nothing writes
 	// them.
@@ -91,6 +91,13 @@ func New(cfg Config) (*Framework, error) {
 	// through both one-sided comparisons into the Eq. (2) exponent.
 	if !(cfg.Gamma >= 0 && cfg.Gamma <= 1) {
 		return nil, market.ErrBadGamma
+	}
+	// The games and the welfare planner take the box as given, so a wrong
+	// length or an entry outside [0, VMs] must fail here, not mid-game.
+	if cfg.MaxShares != nil {
+		if err := cfg.Federation.ValidateShares(cfg.MaxShares); err != nil {
+			return nil, fmt.Errorf("core: max shares: %w", err)
+		}
 	}
 	f := &Framework{cfg: cfg}
 	kind := cfg.Model
@@ -130,9 +137,7 @@ func New(cfg Config) (*Framework, error) {
 			// Unreachable: kind was validated above, and that is the only way
 			// NewEvaluator fails. Surface the error at evaluation time rather
 			// than panicking.
-			return market.EvaluatorFunc(func([]int, int) (cloud.Metrics, error) {
-				return cloud.Metrics{}, err
-			})
+			return failedEvaluator{err}
 		}
 		return ev
 	}
@@ -154,6 +159,16 @@ func New(cfg Config) (*Framework, error) {
 	f.eval = market.Memoize(part)
 	return f, nil
 }
+
+// failedEvaluator answers every evaluation with the error that kept its
+// model from being built.
+type failedEvaluator struct{ err error }
+
+// Evaluate implements market.Evaluator.
+func (e failedEvaluator) Evaluate([]int, int) (cloud.Metrics, error) { return cloud.Metrics{}, e.err }
+
+// EvaluateAll implements market.AllEvaluator.
+func (e failedEvaluator) EvaluateAll([]int) ([]cloud.Metrics, error) { return nil, e.err }
 
 // Evaluator exposes the framework's memoized performance evaluator.
 func (f *Framework) Evaluator() market.Evaluator { return f.eval }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -28,6 +29,35 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Federation: tinyFed(), Model: ModelKind(99)}); err == nil {
 		t.Error("unknown model kind accepted")
+	}
+}
+
+// fourVMFed is three 4-VM SCs, the federation the strategy-box checks
+// run on.
+func fourVMFed() cloud.Federation {
+	fed := cloud.Federation{FederationPrice: 0.4}
+	for _, lambda := range []float64{3, 2.5, 2} {
+		fed.SCs = append(fed.SCs, cloud.SC{VMs: 4, ArrivalRate: lambda, ServiceRate: 1, SLA: 0.2, PublicPrice: 1})
+	}
+	return fed
+}
+
+// TestNewRejectsBadMaxShares: a MaxShares of the wrong length or with an
+// entry outside [0, VMs] fails New, where the games and the planner would
+// otherwise index past a strategy line or fail only mid-game; a valid box
+// still plays.
+func TestNewRejectsBadMaxShares(t *testing.T) {
+	for _, box := range [][]int{{2, 2}, {-1, 2, 2}, {9, 2, 2}} {
+		if f, err := New(Config{Federation: fourVMFed(), Model: ModelFluid, MaxShares: box}); err == nil || f != nil {
+			t.Errorf("MaxShares %v: New = (%v, %v), want an error", box, f, err)
+		}
+	}
+	f, err := New(Config{Federation: fourVMFed(), Model: ModelFluid, MaxShares: []int{0, 2, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Equilibrium(nil, market.AlphaUtilitarian); err != nil && !errors.Is(err, market.ErrNoEquilibrium) {
+		t.Fatal(err)
 	}
 }
 

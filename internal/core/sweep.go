@@ -49,8 +49,8 @@ func (f *Framework) SweepPrices(ratios, alphas []float64, initials [][]int) ([]S
 }
 
 // Sweep is the batch price-sweep driver: it fans the ratio grid across a
-// bounded worker pool, shares one memoized evaluator (and one welfare
-// planner with its whole-vector metrics cache) across all points, and
+// bounded worker pool, shares one memoized evaluator (which the games and
+// the one welfare planner both read) across all points, and
 // optionally warm-starts each point's game from its grid neighbor's
 // equilibrium. Dead markets — points where no start converges — report the
 // terminal shares of the best non-converged run with -Inf welfare and zero
@@ -76,9 +76,10 @@ func (f *Framework) SweepContext(ctx context.Context, ratios, alphas []float64, 
 		}
 	}
 	// One welfare planner serves the whole sweep: the no-sharing baselines
-	// and the per-vector metrics it caches are price-independent, so the
-	// per-(ratio, alpha) empirical-max searches recombine cached
-	// whole-vector evaluations instead of re-enumerating per ratio.
+	// and the per-vector metrics it reads through the framework's memo are
+	// price-independent, so the per-(ratio, alpha) empirical-max searches
+	// recombine cached whole-vector evaluations instead of re-enumerating
+	// per ratio.
 	we, err := market.NewWelfareEvaluator(f.cfg.Federation, f.eval, f.cfg.Gamma)
 	if err != nil {
 		return nil, err

@@ -14,39 +14,36 @@ import (
 // every probe when they reach it, in their own order, as they do for any
 // evaluator without one. The whole-vector path stays visible, so the final
 // evaluation is the same.
-func hideBatch(ev Evaluator) Evaluator {
-	if all, ok := ev.(AllEvaluator); ok {
-		return struct{ AllEvaluator }{all}
-	}
-	return struct{ Evaluator }{ev}
+func hideBatch(ev AllEvaluator) Evaluator {
+	return struct{ AllEvaluator }{ev}
 }
 
 // TestBatchedRoundsMatchPerProbe plays every game twice, once with the
 // memo's batch and once with the batch hidden, and requires the same play:
 // identical shares, rounds, evals, converged flags, utility bits and
-// errors. The cases cover the per-target memo (toy) and the whole-vector
-// memo (fluid), strategy lines of 5 points (batched whole) and of 11 (not
+// errors. The cases cover a per-target delegate (toy) and a whole-vector
+// one (fluid), strategy lines of 5 points (batched whole) and of 11 (not
 // batched), a start that cycles into sequential rounds, RunWithFrozen, and
 // a model that fails on some vectors, each on one worker and on four. The
 // memo's hit and miss counts must match too, except that with the failing
 // model the batch may solve more: it solves a failing SC's whole line,
 // where the search stops at the first failure.
 func TestBatchedRoundsMatchPerProbe(t *testing.T) {
-	toy := func(t *testing.T, fed cloud.Federation) Evaluator { return newToyEvaluator(t, fed) }
-	fl := func(_ *testing.T, fed cloud.Federation) Evaluator { return fluid.NewEvaluator(fed) }
-	failing := func(t *testing.T, fed cloud.Federation) Evaluator {
+	toy := newToyEvaluator
+	fl := func(_ *testing.T, fed cloud.Federation) AllEvaluator { return fluid.NewEvaluator(fed) }
+	failing := func(t *testing.T, fed cloud.Federation) AllEvaluator {
 		inner := newToyEvaluator(t, fed)
-		return EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
+		return allTargets{EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
 			if shares[1] == 3 && shares[2] >= 2 {
 				return cloud.Metrics{}, errors.New("model failed")
 			}
 			return inner.Evaluate(shares, target)
-		})
+		})}
 	}
 	capped := []int{4, 4, 4}
 	for _, tc := range []struct {
 		name      string
-		model     func(*testing.T, cloud.Federation) Evaluator
+		model     func(*testing.T, cloud.Federation) AllEvaluator
 		price     float64
 		gamma     float64
 		maxShares []int

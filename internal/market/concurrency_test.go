@@ -22,7 +22,7 @@ func testFederation() cloud.Federation {
 
 // TestMemoizeConcurrent hammers the memoizing evaluator with overlapping
 // keys from many goroutines: every caller must observe the same metrics,
-// and the wrapped evaluator must run at most once per key.
+// and the wrapped evaluator must run at most once per vector.
 func TestMemoizeConcurrent(t *testing.T) {
 	fed := testFederation()
 	var solves atomic.Int64
@@ -30,7 +30,7 @@ func TestMemoizeConcurrent(t *testing.T) {
 		solves.Add(1)
 		return cloud.Metrics{Utilization: float64(shares[target]) + float64(target)/10}, nil
 	})
-	ev := Memoize(base)
+	ev := Memoize(allTargets{base})
 
 	const goroutines = 16
 	const rounds = 40
@@ -67,15 +67,16 @@ func TestMemoizeConcurrent(t *testing.T) {
 			want[o.key] = o.m
 		}
 	}
-	// 4 share levels x 3 targets = 12 distinct keys; in-flight
-	// deduplication must collapse every concurrent repeat.
+	// 4 share levels x 3 targets = 12 distinct keys, asked for by one
+	// solve per vector; in-flight deduplication must collapse every
+	// concurrent repeat.
 	if got := solves.Load(); got != int64(len(want)) {
 		t.Fatalf("wrapped evaluator ran %d times for %d distinct keys", got, len(want))
 	}
 }
 
 // TestSimEvaluatorConcurrent checks that parallel simulation requests for
-// the same share vector share one run and agree on the result.
+// the same share vector agree on the result: every run is seeded alike.
 func TestSimEvaluatorConcurrent(t *testing.T) {
 	fed := testFederation()
 	ev := SimEvaluator(fed, 400, 50, 7)
@@ -108,9 +109,9 @@ func TestSimEvaluatorConcurrent(t *testing.T) {
 func TestWithParticipationConcurrent(t *testing.T) {
 	fed := testFederation()
 	ev := WithParticipation(fed, func(sub cloud.Federation) Evaluator {
-		return EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
+		return allTargets{EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
 			return cloud.Metrics{Utilization: float64(len(shares))}, nil
-		})
+		})}
 	})
 
 	vectors := [][]int{

@@ -150,12 +150,12 @@ func waitForGoroutines(t *testing.T, baseline int) {
 }
 
 // TestMemoizeStats checks the hit/miss accounting behind the scserve
-// /metrics cache line, on both the per-target and whole-vector paths.
+// /metrics cache line, over a per-target and a whole-vector delegate.
 func TestMemoizeStats(t *testing.T) {
 	base := EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
 		return cloud.Metrics{Utilization: float64(target)}, nil
 	})
-	ev := Memoize(base)
+	ev := Memoize(allTargets{base})
 	rep, ok := ev.(CacheStatsReporter)
 	if !ok {
 		t.Fatal("Memoize result does not report cache stats")
@@ -170,7 +170,7 @@ func TestMemoizeStats(t *testing.T) {
 	if _, err := ev.Evaluate(shares, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Evaluate(shares, 1); err != nil {
+	if _, err := ev.Evaluate([]int{2, 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	s := rep.Stats()
@@ -195,7 +195,7 @@ func TestMemoizeStats(t *testing.T) {
 	if _, err := allEv.Evaluate(shares, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := allEv.(AllEvaluator).EvaluateAll(shares); err != nil {
+	if _, err := allEv.EvaluateAll(shares); err != nil {
 		t.Fatal(err)
 	}
 	s = allEv.(CacheStatsReporter).Stats()

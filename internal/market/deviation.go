@@ -42,12 +42,9 @@ func (g *Game) CoalitionDeviation(out *Outcome, coalition []int) (bool, []int, e
 	}
 	members := append([]int(nil), coalition...)
 	sort.Ints(members)
-	maxShares := g.MaxShares
-	if maxShares == nil {
-		maxShares = make([]int, len(g.Federation.SCs))
-		for i, sc := range g.Federation.SCs {
-			maxShares[i] = sc.VMs
-		}
+	maxShares, err := strategyCaps(g.Federation, g.MaxShares)
+	if err != nil {
+		return false, nil, err
 	}
 
 	trial := make([]int, len(out.Shares))

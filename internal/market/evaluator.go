@@ -31,11 +31,10 @@ type Evaluator interface {
 // AllEvaluator is an Evaluator whose underlying solve yields every SC's
 // metrics at once — one hierarchy/fixed-point/simulation run per share
 // vector instead of one per (shares, target). Every evaluator NewEvaluator
-// returns implements it; Memoize exploits it to cache per share vector, so
-// the K per-target lookups the game issues for one vector collapse into a
-// single solve, and the participation probe and welfare planner take their
-// whole-vector fast paths. Like Evaluate, EvaluateAll must not retain
-// shares.
+// returns implements it, and Memoize, WithParticipation and the welfare
+// planner take nothing else: the cache is keyed by share vector, so the K
+// per-target lookups the game issues for one vector collapse into a single
+// solve. Like Evaluate, EvaluateAll must not retain shares.
 type AllEvaluator interface {
 	Evaluator
 	EvaluateAll(shares []int) ([]cloud.Metrics, error)
@@ -160,9 +159,11 @@ type approxEvaluator struct {
 
 // ApproxEvaluator evaluates sharing decisions with the hierarchical
 // approximate model — the configuration the paper uses for its market
-// experiments. Per-target probes run Solver.Solve; whole-vector
-// evaluations run Solver.SolveAll, which amortizes the K per-target
-// hierarchies into one shared spine plus readout levels.
+// experiments. Whole-vector evaluations run Solver.SolveAll, which
+// amortizes the K per-target hierarchies into one shared spine plus
+// readout levels. Its bare Evaluate runs the per-target Solver.Solve, so
+// Evaluate(shares, i) need not equal EvaluateAll(shares)[i]; wrapped in
+// WithParticipation or Memoize, every evaluation reads SolveAll.
 //
 // Warm-cache ownership: when cfg.Warm is nil the evaluator allocates a
 // private cache, so successive solves warm each other but nothing outside
@@ -191,7 +192,8 @@ func (ae approxEvaluator) solver() (*approx.Solver, error) {
 	return approx.NewSolver(ae.cfg)
 }
 
-// Evaluate implements Evaluator with a per-target hierarchy solve.
+// Evaluate implements Evaluator with a per-target hierarchy solve
+// (Solver.Solve), not with EvaluateAll; see ApproxEvaluator.
 func (ae approxEvaluator) Evaluate(shares []int, target int) (cloud.Metrics, error) {
 	s, err := ae.solver()
 	if err != nil {
@@ -247,11 +249,9 @@ func (ee exactEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
 	return m.AllMetrics(), nil
 }
 
-// memoEntry is one cached evaluation result: either a single SC's metrics
-// (per-target caching) or the whole federation's (per-vector caching when
-// the wrapped evaluator implements AllEvaluator).
+// memoEntry is one cached evaluation result: every SC's metrics under
+// one share vector, or the error its solve returned.
 type memoEntry struct {
-	m   cloud.Metrics
 	all []cloud.Metrics
 	err error
 }
@@ -263,19 +263,15 @@ type memoCall struct {
 	memoEntry
 }
 
-// memoEvaluator caches evaluations and deduplicates concurrent solves of
-// the same key. One mutex guards the cache and the in-flight table; solves
-// run outside it, so distinct keys still evaluate in parallel.
+// memoEvaluator caches whole-vector evaluations by share vector and
+// deduplicates concurrent solves of the same vector. One mutex guards the
+// cache and the in-flight table; solves run outside it, so distinct
+// vectors still evaluate in parallel.
 type memoEvaluator struct {
-	inner Evaluator
-	// all is non-nil when inner solves whole share vectors at once; the
-	// cache is then keyed by vector, without the target.
-	all AllEvaluator
+	inner AllEvaluator
 	// hits counts lookups served from the cache (including joins of an
-	// in-flight solve); misses counts lookups that ran the model, split by
-	// path into allSolves (whole-vector) and targetSolves (per-target).
-	hits, misses            atomic.Uint64
-	allSolves, targetSolves atomic.Uint64
+	// in-flight solve); misses counts lookups that ran the model.
+	hits, misses atomic.Uint64
 
 	mu sync.Mutex
 	// cache and inflight are guarded by mu.
@@ -317,13 +313,10 @@ func (me *memoEvaluator) do(key []byte, solve func() memoEntry) (memoEntry, bool
 
 // CacheStats summarizes a memoized evaluator's lookup history. A hit is a
 // lookup answered without running the performance model — either from the
-// cache or by joining another caller's in-flight solve of the same key.
-// Misses split by solve path: AllSolves counts whole-vector model runs
-// (EvaluateAll on an AllEvaluator) and TargetSolves counts per-target runs;
-// AllSolves+TargetSolves == Misses.
+// cache or by joining another caller's in-flight solve of the same share
+// vector; a miss is one whole-vector model run.
 type CacheStats struct {
-	Hits, Misses            uint64
-	AllSolves, TargetSolves uint64
+	Hits, Misses uint64
 }
 
 // HitRatio returns Hits/(Hits+Misses), or 0 before any lookup.
@@ -336,69 +329,27 @@ func (s CacheStats) HitRatio() float64 {
 }
 
 // CacheStatsReporter is implemented by the evaluators Memoize returns; the
-// scserve /metrics endpoint reads it to report the cross-request hit ratio
-// and the whole-vector/per-target solve split.
+// scserve /metrics endpoint reads it to report the cross-request hit
+// ratio.
 type CacheStatsReporter interface {
 	Stats() CacheStats
 }
 
 // Stats implements CacheStatsReporter.
 func (me *memoEvaluator) Stats() CacheStats {
-	return CacheStats{
-		Hits:         me.hits.Load(),
-		Misses:       me.misses.Load(),
-		AllSolves:    me.allSolves.Load(),
-		TargetSolves: me.targetSolves.Load(),
-	}
+	return CacheStats{Hits: me.hits.Load(), Misses: me.misses.Load()}
 }
 
-// count records one lookup's hit/miss outcome; a miss also lands on the
-// whole-vector or per-target solve counter.
-func (me *memoEvaluator) count(hit, wholeVector bool) {
-	if hit {
-		me.hits.Add(1)
-		return
-	}
-	me.misses.Add(1)
-	if wholeVector {
-		me.allSolves.Add(1)
-	} else {
-		me.targetSolves.Add(1)
-	}
-}
-
-// Memoize caches evaluations by (shares, target) — or by the share vector
-// alone when the evaluator implements AllEvaluator. It is safe for
-// concurrent use: parallel callers asking for the same key share a single
-// solve, and distinct keys solve in parallel.
-//
-// When the wrapped evaluator implements AllEvaluator, so does the returned
-// one, so downstream whole-vector fast paths (Game.fillOutcome, the welfare
-// planner) survive memoization instead of degrading to K per-target probes.
-func Memoize(ev Evaluator) Evaluator {
-	me := &memoEvaluator{
+// Memoize caches evaluations by share vector: one EvaluateAll of the
+// wrapped evaluator answers EvaluateAll and every Evaluate of that vector.
+// It is safe for concurrent use: parallel callers asking for the same
+// vector share a single solve, and distinct vectors solve in parallel.
+func Memoize(ev AllEvaluator) AllEvaluator {
+	return &memoEvaluator{
 		inner:    ev,
 		cache:    make(map[string]memoEntry),
 		inflight: make(map[string]*memoCall),
 	}
-	me.all, _ = ev.(AllEvaluator)
-	if me.all != nil {
-		return memoAllEvaluator{me}
-	}
-	return me
-}
-
-// memoAllEvaluator re-exposes the whole-vector path of a memoized
-// AllEvaluator; see Memoize.
-type memoAllEvaluator struct {
-	*memoEvaluator
-}
-
-// EvaluateAll implements AllEvaluator. The returned slice is owned by the
-// cache and must not be mutated.
-func (me memoAllEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
-	e := me.allEntry(shares)
-	return e.all, e.err
 }
 
 // keyBufLen sizes the stack buffer a cache key is built in: enough for
@@ -424,43 +375,44 @@ func appendProbeKey(key []byte, base []int, sc, share int) []byte {
 }
 
 // shareKey returns the cache key of a share vector as a string, for the
-// game's cycle detector and the welfare planner's vector cache.
+// game's cycle detector.
 func shareKey(shares []int) string {
 	var buf [keyBufLen]byte
 	return string(appendVectorKey(buf[:0], shares))
 }
 
-// allEntry returns the cached whole-vector entry for shares, solving it
-// exactly once per key.
-func (me *memoEvaluator) allEntry(shares []int) memoEntry {
+// entry returns the cached entry for shares, solving it exactly once per
+// vector.
+func (me *memoEvaluator) entry(shares []int) memoEntry {
 	var buf [keyBufLen]byte
 	e, hit := me.do(appendVectorKey(buf[:0], shares), func() memoEntry {
-		all, err := me.all.EvaluateAll(shares)
+		all, err := me.inner.EvaluateAll(shares)
 		return memoEntry{all: all, err: err}
 	})
-	me.count(hit, true)
+	if hit {
+		me.hits.Add(1)
+	} else {
+		me.misses.Add(1)
+	}
 	return e
+}
+
+// EvaluateAll implements AllEvaluator. The returned slice is owned by the
+// cache and must not be mutated.
+func (me *memoEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
+	e := me.entry(shares)
+	return e.all, e.err
 }
 
 // Evaluate implements Evaluator.
 func (me *memoEvaluator) Evaluate(shares []int, target int) (cloud.Metrics, error) {
-	if me.all == nil {
-		var buf [keyBufLen]byte
-		key := strconv.AppendInt(appendVectorKey(buf[:0], shares), int64(target), 10)
-		e, hit := me.do(key, func() memoEntry {
-			m, err := me.inner.Evaluate(shares, target)
-			return memoEntry{m: m, err: err}
-		})
-		me.count(hit, false)
-		return e.m, e.err
-	}
-	return me.metrics(me.allEntry(shares), target)
+	return metricsOf(me.entry(shares), target)
 }
 
-// metrics reads SC target's metrics out of a cache entry.
-func (me *memoEvaluator) metrics(e memoEntry, target int) (cloud.Metrics, error) {
-	if me.all == nil || e.err != nil {
-		return e.m, e.err
+// metricsOf reads SC target's metrics out of a cache entry.
+func metricsOf(e memoEntry, target int) (cloud.Metrics, error) {
+	if e.err != nil {
+		return cloud.Metrics{}, e.err
 	}
 	if target < 0 || target >= len(e.all) {
 		return cloud.Metrics{}, fmt.Errorf("market: target %d out of range [0,%d)", target, len(e.all))
@@ -473,10 +425,10 @@ func (me *memoEvaluator) metrics(e memoEntry, target int) (cloud.Metrics, error)
 // miss counts, but looks them all up under one lock and solves the misses
 // on the caller and up to workers-1 helpers (claim.Run), each on its own
 // copy of the vector, so a batch of hits takes one lock, no goroutine and
-// no allocation. On the whole-vector cache the probes with p.share ==
-// base[p.sc] all read base itself: on a miss they share one solve, after
-// which the rest read it as hits. Once ctx is done no further miss is
-// solved, and the probes left unanswered stay unknown.
+// no allocation. The probes with p.share == base[p.sc] all read base
+// itself: on a miss they share one solve, after which the rest read it as
+// hits. Once ctx is done no further miss is solved, and the probes left
+// unanswered stay unknown.
 func (me *memoEvaluator) evaluateProbes(ctx context.Context, base []int, probes []probe, workers int) {
 	var (
 		buf    [keyBufLen]byte
@@ -486,13 +438,9 @@ func (me *memoEvaluator) evaluateProbes(ctx context.Context, base []int, probes 
 	me.mu.Lock()
 	for j := range probes {
 		p := &probes[j]
-		key := appendProbeKey(buf[:0], base, p.sc, p.share)
-		if me.all == nil {
-			key = strconv.AppendInt(key, int64(p.sc), 10)
-		}
-		e, ok := me.cache[string(key)]
+		e, ok := me.cache[string(appendProbeKey(buf[:0], base, p.sc, p.share))]
 		if p.known = ok; ok {
-			p.m, p.err = me.metrics(e, p.sc)
+			p.m, p.err = metricsOf(e, p.sc)
 			hits++
 		} else {
 			misses++
@@ -504,7 +452,7 @@ func (me *memoEvaluator) evaluateProbes(ctx context.Context, base []int, probes 
 		return
 	}
 
-	readsBase := func(p *probe) bool { return me.all != nil && p.share == base[p.sc] }
+	readsBase := func(p *probe) bool { return p.share == base[p.sc] }
 	pending := make([]int, 0, misses)
 	baseTaken := false
 	for j := range probes {

@@ -1,53 +1,29 @@
 package market
 
 import (
-	"strconv"
-	"sync"
-
 	"scshare/internal/cloud"
 	"scshare/internal/sim"
 )
 
-// simCall tracks one in-flight simulation run.
-type simCall struct {
-	done    chan struct{}
-	metrics []cloud.Metrics
-	err     error
-}
-
 // simEvaluator evaluates sharing decisions by discrete-event simulation.
-// One simulation yields every SC's metrics, so results are cached per
-// share vector rather than per (shares, target); wrapping it in Memoize is
-// unnecessary. Concurrent callers asking for the same share vector wait on
-// a single simulation run instead of repeating it — the runs are by far
-// the most expensive evaluations the market fans out.
+// One simulation yields every SC's metrics; it keeps no results of its
+// own, so wrap it in Memoize to share runs across callers — the runs are
+// by far the most expensive evaluations the market fans out.
 type simEvaluator struct {
 	fed     cloud.Federation
 	horizon float64
 	warmup  float64
 	seed    int64
-
-	mu sync.Mutex
-	// cache and inflight are guarded by mu.
-	cache    map[string][]cloud.Metrics
-	inflight map[string]*simCall
 }
 
 // SimEvaluator evaluates sharing decisions by discrete-event simulation.
 // It is safe for concurrent use.
 func SimEvaluator(fed cloud.Federation, horizon, warmup float64, seed int64) AllEvaluator {
-	return &simEvaluator{
-		fed:      fed,
-		horizon:  horizon,
-		warmup:   warmup,
-		seed:     seed,
-		cache:    make(map[string][]cloud.Metrics),
-		inflight: make(map[string]*simCall),
-	}
+	return simEvaluator{fed: fed, horizon: horizon, warmup: warmup, seed: seed}
 }
 
 // Evaluate implements Evaluator.
-func (se *simEvaluator) Evaluate(shares []int, target int) (cloud.Metrics, error) {
+func (se simEvaluator) Evaluate(shares []int, target int) (cloud.Metrics, error) {
 	if err := ValidateShares(se.fed, shares, target); err != nil {
 		return cloud.Metrics{}, err
 	}
@@ -59,36 +35,11 @@ func (se *simEvaluator) Evaluate(shares []int, target int) (cloud.Metrics, error
 }
 
 // EvaluateAll implements AllEvaluator: one simulation run yields every
-// SC's metrics. The returned slice is shared with the cache; callers must
-// not mutate it.
-func (se *simEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
+// SC's metrics.
+func (se simEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
 	if err := se.fed.ValidateShares(shares); err != nil {
 		return nil, err
 	}
-	key := make([]byte, 0, 4*len(shares))
-	for _, s := range shares {
-		key = strconv.AppendInt(key, int64(s), 10)
-		key = append(key, ',')
-	}
-	k := string(key)
-
-	se.mu.Lock()
-	if ms, ok := se.cache[k]; ok {
-		se.mu.Unlock()
-		return ms, nil
-	}
-	if c, ok := se.inflight[k]; ok {
-		se.mu.Unlock()
-		<-c.done
-		if c.err != nil {
-			return nil, c.err
-		}
-		return c.metrics, nil
-	}
-	c := &simCall{done: make(chan struct{})}
-	se.inflight[k] = c
-	se.mu.Unlock()
-
 	res, err := sim.Run(sim.Config{
 		Federation: se.fed,
 		Shares:     shares,
@@ -97,20 +48,7 @@ func (se *simEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
 		Seed:       se.seed,
 	})
 	if err != nil {
-		c.err = err
-	} else {
-		c.metrics = res.Metrics
+		return nil, err
 	}
-	close(c.done)
-
-	se.mu.Lock()
-	if c.err == nil {
-		se.cache[k] = c.metrics
-	}
-	delete(se.inflight, k)
-	se.mu.Unlock()
-	if c.err != nil {
-		return nil, c.err
-	}
-	return c.metrics, nil
+	return res.Metrics, nil
 }

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"math"
 	"testing"
 
 	"scshare/internal/approx"
@@ -62,7 +63,7 @@ func TestNewEvaluatorDispatch(t *testing.T) {
 
 // coreStack mirrors core.Framework's evaluator composition for the approx
 // model: Memoize(WithParticipation(fed, NewEvaluator per sub-federation)).
-func coreStack(t *testing.T, fed cloud.Federation) Evaluator {
+func coreStack(t *testing.T, fed cloud.Federation) AllEvaluator {
 	t.Helper()
 	warm := approx.NewWarmCache()
 	mkEval := func(sub cloud.Federation) Evaluator {
@@ -75,22 +76,14 @@ func coreStack(t *testing.T, fed cloud.Federation) Evaluator {
 	return Memoize(WithParticipation(fed, mkEval))
 }
 
-// The participation probe must detect the approx model's whole-vector
-// support, so a memoized EvaluateAll is answered by one SolveAll — counted
-// as an AllSolve — instead of degrading to K per-target probes.
+// A memoized EvaluateAll over participation and approx is one SolveAll,
+// which then answers the per-target probes of the same vector.
 func TestParticipationApproxWholeVector(t *testing.T) {
 	mem := coreStack(t, evalFed())
-	all, ok := mem.(AllEvaluator)
-	if !ok {
-		t.Fatal("memoized participation stack over approx is not an AllEvaluator")
-	}
-	if _, err := all.EvaluateAll([]int{2, 2}); err != nil {
+	if _, err := mem.EvaluateAll([]int{2, 2}); err != nil {
 		t.Fatal(err)
 	}
 	st := mem.(CacheStatsReporter).Stats()
-	if st.AllSolves < 1 || st.TargetSolves != 0 {
-		t.Errorf("EvaluateAll took the per-target path: %+v", st)
-	}
 	// A per-target probe of the same vector must be served from the cached
 	// whole-vector entry, not a new solve.
 	if _, err := mem.Evaluate([]int{2, 2}, 0); err != nil {
@@ -102,7 +95,92 @@ func TestParticipationApproxWholeVector(t *testing.T) {
 	}
 }
 
-// The welfare planner must ride the same whole-vector fast path.
+// TestParticipationOneShape pins the one-shape contract: for every model
+// kind, Evaluate(v, i) is EvaluateAll(v)[i] bit for bit, through bare
+// WithParticipation and through Memoize(WithParticipation(...)), over a
+// box whose vectors include S_i = 0 entries, lone contributors and a
+// two-SC sub-federation. The bare stack is built afresh for every call:
+// an approx sub-federation evaluator keeps a warm-start cache, and a warm
+// re-solve of the same vector may move the last bits.
+func TestParticipationOneShape(t *testing.T) {
+	fed := cloud.Federation{FederationPrice: 0.4}
+	for _, lambda := range []float64{2.4, 1.8, 1.2} {
+		fed.SCs = append(fed.SCs, cloud.SC{VMs: 3, ArrivalRate: lambda, ServiceRate: 1, SLA: 0.2, PublicPrice: 1})
+	}
+	// SC 1 never contributes, so every sub-federation skips an index and
+	// the exact model solves at most two SCs.
+	box := primeOrder([]int{2, 0, 1})
+	bits := func(m cloud.Metrics) [5]uint64 {
+		return [5]uint64{math.Float64bits(m.PublicRate), math.Float64bits(m.BorrowRate), math.Float64bits(m.LendRate),
+			math.Float64bits(m.Utilization), math.Float64bits(m.ForwardProb)}
+	}
+	for _, kind := range []Kind{KindApprox, KindExact, KindSim, KindFluid} {
+		t.Run(kind.String(), func(t *testing.T) {
+			stack := func() AllEvaluator {
+				return WithParticipation(fed, func(sub cloud.Federation) Evaluator {
+					ev, err := NewEvaluator(kind, sub, EvaluatorOptions{SimHorizon: 400, SimSeed: 3})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return ev
+				})
+			}
+			memo := Memoize(stack())
+			for _, v := range box {
+				want, err := stack().EvaluateAll(v)
+				if err != nil {
+					t.Fatalf("bare EvaluateAll(%v): %v", v, err)
+				}
+				memoized := make([]cloud.Metrics, len(v))
+				for i := range v {
+					bare, err := stack().Evaluate(v, i)
+					if err != nil {
+						t.Fatalf("bare Evaluate(%v, %d): %v", v, i, err)
+					}
+					if bits(bare) != bits(want[i]) {
+						t.Errorf("bare Evaluate(%v, %d) = %+v, EvaluateAll's entry %+v", v, i, bare, want[i])
+					}
+					// The memo's first lookup of v is an Evaluate, so it
+					// is the one that solves.
+					if memoized[i], err = memo.Evaluate(v, i); err != nil {
+						t.Fatalf("memoized Evaluate(%v, %d): %v", v, i, err)
+					}
+				}
+				all, err := memo.EvaluateAll(v)
+				if err != nil {
+					t.Fatalf("memoized EvaluateAll(%v): %v", v, err)
+				}
+				for i := range v {
+					if bits(memoized[i]) != bits(all[i]) {
+						t.Errorf("memoized Evaluate(%v, %d) = %+v, EvaluateAll's entry %+v", v, i, memoized[i], all[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// A sub-federation evaluator without EvaluateAll fails the evaluation
+// instead of falling back to per-target solves.
+func TestParticipationNeedsWholeVector(t *testing.T) {
+	ev := WithParticipation(evalFed(), func(cloud.Federation) Evaluator {
+		return EvaluatorFunc(func([]int, int) (cloud.Metrics, error) { return cloud.Metrics{}, nil })
+	})
+	if _, err := ev.EvaluateAll([]int{1, 1}); err == nil {
+		t.Error("EvaluateAll over a per-target sub-federation evaluator succeeded")
+	}
+	if _, err := ev.Evaluate([]int{1, 1}, 0); err == nil {
+		t.Error("Evaluate over a per-target sub-federation evaluator succeeded")
+	}
+	// A non-contributor still reads its baseline.
+	if _, err := ev.Evaluate([]int{0, 1}, 0); err != nil {
+		t.Errorf("baseline: %v", err)
+	}
+}
+
+// The welfare planner reads every vector through the memo and keeps no
+// cache of its own: its first read of a vector is the memo's one miss, and
+// every later read is a memo hit.
 func TestWelfarePlannerWholeVector(t *testing.T) {
 	fed := evalFed()
 	mem := coreStack(t, fed)
@@ -114,8 +192,14 @@ func TestWelfarePlannerWholeVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := mem.(CacheStatsReporter).Stats()
-	if st.AllSolves < 1 || st.TargetSolves != 0 {
-		t.Errorf("planner took the per-target path: %+v", st)
+	if st.Misses != 1 {
+		t.Errorf("planner's first read: %+v, want one miss", st)
+	}
+	if _, err := we.Utilities([]int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if after := mem.(CacheStatsReporter).Stats(); after.Misses != 1 || after.Hits != st.Hits+1 {
+		t.Errorf("planner's second read: %+v -> %+v, want one more hit", st, after)
 	}
 }
 

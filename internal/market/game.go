@@ -41,7 +41,8 @@ type Game struct {
 	// MaxRounds bounds the repeated game (DefaultMaxRounds when zero or
 	// negative).
 	MaxRounds int
-	// MaxShares caps each SC's strategy space; defaults to its VM count.
+	// MaxShares caps each SC's strategy space; defaults to its VM count. A
+	// non-nil MaxShares needs one entry per SC, each in [0, VMs].
 	MaxShares []int
 	// Workers bounds how many goroutines evaluate a round's best responses.
 	// Jacobi rounds respond to the previous round's decisions, so the K
@@ -112,12 +113,9 @@ func (g *Game) RunContext(ctx context.Context, initial []int) (*Outcome, error) 
 	if !(g.Gamma >= 0 && g.Gamma <= 1) { // negated range: rejects NaN too
 		return nil, ErrBadGamma
 	}
-	maxShares := g.MaxShares
-	if maxShares == nil {
-		maxShares = make([]int, k)
-		for i, sc := range g.Federation.SCs {
-			maxShares[i] = sc.VMs
-		}
+	maxShares, err := strategyCaps(g.Federation, g.MaxShares)
+	if err != nil {
+		return nil, err
 	}
 	shares := make([]int, k)
 	if initial != nil {
@@ -378,8 +376,7 @@ func (g *Game) respondAll(ctx context.Context, base, maxShares []int, distance i
 //
 // The starts are independent, so claim.Run spreads them over up to
 // GOMAXPROCS goroutines, the caller's among them (a lone start starts
-// none); the evaluators (Memoize, SimEvaluator,
-// WithParticipation) deduplicate shared solves across the runs. Selection
+// none); a Memoize evaluator shares every solve across the runs. Selection
 // stays deterministic: results are compared in the order the initials were
 // given, regardless of which goroutine finishes first.
 //
@@ -447,6 +444,24 @@ func (g *Game) RunMultiStartContext(ctx context.Context, initials [][]int, alpha
 		return bestPartial, ErrNoEquilibrium
 	}
 	return nil, ErrNoEquilibrium
+}
+
+// strategyCaps returns every SC's strategy cap: maxShares itself, or each
+// SC's VM count when maxShares is nil. It rejects a maxShares of the wrong
+// length or with an entry outside [0, VMs], which would otherwise index
+// past a strategy line or fail only mid-game.
+func strategyCaps(fed cloud.Federation, maxShares []int) ([]int, error) {
+	if maxShares == nil {
+		caps := make([]int, len(fed.SCs))
+		for i, sc := range fed.SCs {
+			caps[i] = sc.VMs
+		}
+		return caps, nil
+	}
+	if err := fed.ValidateShares(maxShares); err != nil {
+		return nil, fmt.Errorf("market: max shares: %w", err)
+	}
+	return maxShares, nil
 }
 
 // baselineTerms returns every SC's no-federation references (C^0_i,
@@ -524,12 +539,9 @@ func (g *Game) fillOutcome(out *Outcome) error {
 // equilibrium it is rather than being falsely reported as non-Nash.
 func (g *Game) IsEquilibrium(out *Outcome, tol float64) (bool, error) {
 	k := len(g.Federation.SCs)
-	maxShares := g.MaxShares
-	if maxShares == nil {
-		maxShares = make([]int, k)
-		for i, sc := range g.Federation.SCs {
-			maxShares[i] = sc.VMs
-		}
+	maxShares, err := strategyCaps(g.Federation, g.MaxShares)
+	if err != nil {
+		return false, err
 	}
 	for i := 0; i < k; i++ {
 		if g.skip[i] || (out.Frozen != nil && out.Frozen[i]) {

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,7 +20,7 @@ type toyEvaluator struct {
 	need []float64
 }
 
-func newToyEvaluator(t *testing.T, fed cloud.Federation) *toyEvaluator {
+func newToyEvaluator(t *testing.T, fed cloud.Federation) AllEvaluator {
 	t.Helper()
 	ev := &toyEvaluator{fed: fed}
 	for _, sc := range fed.SCs {
@@ -29,7 +30,24 @@ func newToyEvaluator(t *testing.T, fed cloud.Federation) *toyEvaluator {
 		}
 		ev.need = append(ev.need, m.Metrics().PublicRate)
 	}
-	return ev
+	return allTargets{ev}
+}
+
+// allTargets gives a per-target test double the whole-vector shape that
+// Memoize, WithParticipation and the welfare planner take: its EvaluateAll
+// asks Evaluate for every SC in turn.
+type allTargets struct{ Evaluator }
+
+func (a allTargets) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
+	out := make([]cloud.Metrics, len(shares))
+	for i := range shares {
+		m, err := a.Evaluate(shares, i)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = m
+	}
+	return out, nil
 }
 
 func (ev *toyEvaluator) Evaluate(shares []int, target int) (cloud.Metrics, error) {
@@ -136,6 +154,44 @@ func TestGameValidation(t *testing.T) {
 	}
 }
 
+// TestGameRejectsBadMaxShares runs the three bad strategy boxes on three
+// 4-VM SCs — too short, a negative entry, an entry above the VM count —
+// through a bare Game and every other reader of MaxShares: each returns an
+// error instead of panicking or failing mid-game, and Prime solves
+// nothing.
+func TestGameRejectsBadMaxShares(t *testing.T) {
+	fed := toyFederation(0.4)
+	for i := range fed.SCs {
+		fed.SCs[i].VMs = 4
+		fed.SCs[i].ArrivalRate /= 2.5
+	}
+	out := &Outcome{Shares: []int{1, 1, 1}, Utilities: []float64{0, 0, 0}, BaselineCosts: []float64{1, 1, 1}, BaselineUtils: []float64{0.5, 0.5, 0.5}}
+	for _, box := range [][]int{{2, 2}, {-1, 2, 2}, {9, 2, 2}} {
+		inner := &countingAllEvaluator{fed: fed}
+		g := &Game{Federation: fed, Evaluator: Memoize(inner), Gamma: UF0, MaxShares: box}
+		if got, err := g.Run(nil); err == nil || got != nil {
+			t.Errorf("MaxShares %v: Run = (%v, %v), want an error", box, got, err)
+		}
+		if _, err := g.IsEquilibrium(out, eqTol); err == nil {
+			t.Errorf("MaxShares %v: IsEquilibrium accepted the box", box)
+		}
+		if _, _, err := g.CoalitionDeviation(out, []int{0, 1}); err == nil {
+			t.Errorf("MaxShares %v: CoalitionDeviation accepted the box", box)
+		}
+		we, err := NewWelfareEvaluator(fed, Memoize(inner), UF0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := we.MaximizeWelfareAt(0.4, AlphaUtilitarian, box, nil); err == nil {
+			t.Errorf("MaxShares %v: MaximizeWelfareAt accepted the box", box)
+		}
+		we.Prime(context.Background(), box, 4)
+		if n := inner.solves.Load(); n != 0 {
+			t.Errorf("MaxShares %v: %d solves, want none", box, n)
+		}
+	}
+}
+
 func TestGameMultiStart(t *testing.T) {
 	fed := toyFederation(0.4)
 	g := &Game{Federation: fed, Evaluator: Memoize(newToyEvaluator(t, fed)), Gamma: UF0}
@@ -150,10 +206,10 @@ func TestGameMultiStart(t *testing.T) {
 
 func TestMemoizeCaches(t *testing.T) {
 	calls := 0
-	ev := Memoize(EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
+	ev := Memoize(allTargets{EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
 		calls++
 		return cloud.Metrics{}, nil
-	}))
+	})})
 	for i := 0; i < 3; i++ {
 		if _, err := ev.Evaluate([]int{1, 2}, 0); err != nil {
 			t.Fatal(err)
@@ -162,10 +218,11 @@ func TestMemoizeCaches(t *testing.T) {
 	if _, err := ev.Evaluate([]int{1, 2}, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Key must distinguish (12),0 from (1,2),0-style collisions.
+	// Key must distinguish (12) from (1,2)-style collisions.
 	if _, err := ev.Evaluate([]int{12}, 0); err != nil {
 		t.Fatal(err)
 	}
+	// One solve of (1,2) asks for both SCs, one of (12) for its one SC.
 	if calls != 3 {
 		t.Errorf("underlying evaluator called %d times, want 3", calls)
 	}
@@ -260,10 +317,8 @@ func TestWithParticipation(t *testing.T) {
 		calls++
 		return newToyEvaluator(t, sub)
 	})
-	// Construction probes (and caches) the full-federation evaluator to
-	// decide whether the whole-vector path is available.
-	if calls != 1 {
-		t.Fatalf("construction built %d evaluators, want the full-federation probe only", calls)
+	if calls != 0 {
+		t.Fatalf("construction built %d evaluators, want none", calls)
 	}
 	// A non-contributor gets its standalone baseline: no federation flows.
 	m, err := ev.Evaluate([]int{0, 3, 3}, 0)
@@ -281,8 +336,8 @@ func TestWithParticipation(t *testing.T) {
 	if m.LendRate <= 0 {
 		t.Errorf("contributor lends nothing: %+v", m)
 	}
-	if calls != 2 {
-		t.Errorf("sub-evaluators built: %d, want 2 (probe + contributor set)", calls)
+	if calls != 1 {
+		t.Errorf("sub-evaluators built: %d, want 1 (the contributor set)", calls)
 	}
 	// A lone contributor is effectively standalone.
 	m, err = ev.Evaluate([]int{0, 3, 0}, 1)
@@ -296,14 +351,14 @@ func TestWithParticipation(t *testing.T) {
 	if _, err := ev.Evaluate([]int{0, 4, 2}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 {
+	if calls != 1 {
 		t.Errorf("participant-set cache miss: %d evaluator builds", calls)
 	}
-	// The all-contributors set reuses the construction-time probe.
+	// The all-contributors set is a set of its own.
 	if _, err := ev.Evaluate([]int{1, 1, 1}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 2 {
-		t.Errorf("full participant set rebuilt despite the probe: %d", calls)
+		t.Errorf("sub-evaluators built: %d, want 2 (two participant sets)", calls)
 	}
 }

@@ -83,53 +83,18 @@ func TestMemoCacheStress(t *testing.T) {
 	}
 }
 
-// TestShardedCachePerTargetStress is the per-target-keying variant of
-// TestMemoCacheStress: with a plain Evaluator the exactly-once guarantee
-// holds per (vector, target).
-func TestShardedCachePerTargetStress(t *testing.T) {
-	fed := testFederation()
-	var solves atomic.Int64
-	ev := Memoize(EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
-		solves.Add(1)
-		return cloud.Metrics{Utilization: float64(shares[target]) + float64(target)/10}, nil
-	}))
-
-	const goroutines = 64
-	var wg sync.WaitGroup
-	for gi := 0; gi < goroutines; gi++ {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			for v := 0; v < 60; v++ {
-				s := v % 5
-				target := (gi + v) % len(fed.SCs)
-				if _, err := ev.Evaluate([]int{s, s, s}, target); err != nil {
-					t.Errorf("goroutine %d: %v", gi, err)
-					return
-				}
-			}
-		}(gi)
-	}
-	wg.Wait()
-
-	// 5 share levels x 3 targets = 15 distinct (vector, target) keys.
-	if got := solves.Load(); got != 15 {
-		t.Fatalf("underlying evaluator ran %d times for 15 distinct keys", got)
-	}
-}
-
 // TestMemoHitAllocFree pins the memo cache's hit path to zero
 // allocations: a hit builds its key on the stack and looks it up without
-// converting it to a string, on the whole-vector path (Evaluate and
-// EvaluateAll) and on the per-target path alike, and a batch of probes
+// converting it to a string, through Evaluate and EvaluateAll alike, over
+// a whole-vector delegate and over a per-target one, and a batch of probes
 // that all hit allocates nothing either.
 func TestMemoHitAllocFree(t *testing.T) {
 	fed := testFederation()
 	shares := []int{2, 1, 3}
 	all := Memoize(&countingAllEvaluator{fed: fed}).(AllEvaluator)
-	perTarget := Memoize(EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
+	perTarget := Memoize(allTargets{EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
 		return cloud.Metrics{Utilization: float64(shares[target])}, nil
-	}))
+	})})
 	var probes []probe
 	for i := range shares {
 		for s := range 4 {

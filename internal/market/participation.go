@@ -1,6 +1,7 @@
 package market
 
 import (
+	"fmt"
 	"sync"
 
 	"scshare/internal/cloud"
@@ -42,41 +43,17 @@ type baselineCell struct {
 // lenders lose their revenue, and the remaining utilities collapse.
 //
 // mkEval builds an evaluator for a sub-federation; one evaluator is cached
-// per participant set.
-//
-// When mkEval produces AllEvaluators (whole-vector solves), the returned
-// evaluator is one too: non-contributors keep their baselines and the
-// contributor sub-federation is solved once, so Memoize can key its cache
-// by share vector. Per-target models keep the per-target shape — forcing
-// them through EvaluateAll would turn one solve into K.
-func WithParticipation(fed cloud.Federation, mkEval func(sub cloud.Federation) Evaluator) Evaluator {
-	pe := &participationEvaluator{
+// per participant set, and the contributor sub-federation is solved by its
+// EvaluateAll, so an evaluation whose sub-federation evaluator is not an
+// AllEvaluator fails. Evaluate(shares, i) is EvaluateAll(shares)[i], except
+// that a non-contributor's baseline needs no sub-federation solve.
+func WithParticipation(fed cloud.Federation, mkEval func(sub cloud.Federation) Evaluator) AllEvaluator {
+	return &participationEvaluator{
 		fed:    fed,
 		mkEval: mkEval,
 		subs:   make(map[string]Evaluator),
 		bases:  make([]baselineCell, len(fed.SCs)),
 	}
-	// Probe with the full federation (every SC contributing); the evaluator
-	// is cached under its presence bitmap for later reuse.
-	mask := make([]byte, len(fed.SCs))
-	for i := range mask {
-		mask[i] = '1'
-	}
-	if _, ok := pe.subEvaluator(string(mask), fed).(AllEvaluator); ok {
-		return participationAllEvaluator{pe}
-	}
-	return pe
-}
-
-// participationAllEvaluator exposes the whole-vector path; see
-// WithParticipation.
-type participationAllEvaluator struct {
-	*participationEvaluator
-}
-
-// EvaluateAll implements AllEvaluator.
-func (pe participationAllEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
-	return pe.evaluateAll(shares)
 }
 
 // subEvaluator returns the cached evaluator for one participant set,
@@ -117,39 +94,17 @@ func (pe *participationEvaluator) Evaluate(shares []int, target int) (cloud.Metr
 	if shares[target] == 0 {
 		return pe.baseline(target)
 	}
-	// Build the participant sub-federation; the cache key is the presence
-	// bitmap.
-	var (
-		mask      = make([]byte, len(shares))
-		subFed    cloud.Federation
-		subShares []int
-		subTarget = -1
-	)
-	subFed.FederationPrice = pe.fed.FederationPrice
-	for i, s := range shares {
-		if s == 0 {
-			mask[i] = '0'
-			continue
-		}
-		mask[i] = '1'
-		if i == target {
-			subTarget = len(subFed.SCs)
-		}
-		subFed.SCs = append(subFed.SCs, pe.fed.SCs[i])
-		subShares = append(subShares, s)
+	ms, err := pe.EvaluateAll(shares)
+	if err != nil {
+		return cloud.Metrics{}, err
 	}
-	if len(subFed.SCs) == 1 {
-		// Alone in the federation: nothing to lend to or borrow from.
-		return pe.baseline(target)
-	}
-	return pe.subEvaluator(string(mask), subFed).Evaluate(subShares, subTarget)
+	return ms[target], nil
 }
 
-// evaluateAll computes every SC's metrics under the participation
-// semantics: non-contributors (and a lone contributor) get their no-sharing
-// baselines, and the contributor sub-federation is solved in one shot when
-// the sub-evaluator supports it.
-func (pe *participationEvaluator) evaluateAll(shares []int) ([]cloud.Metrics, error) {
+// EvaluateAll implements AllEvaluator: non-contributors (and a lone
+// contributor) get their no-sharing baselines, and the contributor
+// sub-federation is solved in one shot.
+func (pe *participationEvaluator) EvaluateAll(shares []int) ([]cloud.Metrics, error) {
 	if err := pe.fed.ValidateShares(shares); err != nil {
 		return nil, err
 	}
@@ -188,22 +143,16 @@ func (pe *participationEvaluator) evaluateAll(shares []int) ([]cloud.Metrics, er
 		return out, nil
 	}
 	ev := pe.subEvaluator(string(mask), subFed)
-	if all, ok := ev.(AllEvaluator); ok {
-		ms, err := all.EvaluateAll(subShares)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range subIdx {
-			out[i] = ms[j]
-		}
-		return out, nil
+	all, ok := ev.(AllEvaluator)
+	if !ok {
+		return nil, fmt.Errorf("market: sub-federation evaluator %T has no EvaluateAll", ev)
+	}
+	ms, err := all.EvaluateAll(subShares)
+	if err != nil {
+		return nil, err
 	}
 	for j, i := range subIdx {
-		m, err := ev.Evaluate(subShares, j)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = m
+		out[i] = ms[j]
 	}
 	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"scshare/internal/claim"
 	"scshare/internal/cloud"
@@ -16,40 +15,30 @@ import (
 //
 // Performance metrics are price-independent, so one WelfareEvaluator can
 // score any number of federation prices: the ...At methods take the price
-// explicitly and recombine cached whole-vector metrics, which is what lets
-// the batch sweep driver hoist the empirical-max search out of the ratio
-// loop instead of re-enumerating the strategy space per ratio. It is safe
-// for concurrent use.
+// explicitly and recombine whole-vector metrics, which is what lets the
+// batch sweep driver hoist the empirical-max search out of the ratio loop
+// instead of re-enumerating the strategy space per ratio. It keeps no
+// metrics of its own: every vector is read through its evaluator, which
+// should be a Memoize cache (the one the games read, in core.Framework).
+// It is safe for concurrent use.
 type WelfareEvaluator struct {
 	fed       cloud.Federation
-	ev        Evaluator
-	all       AllEvaluator // non-nil when ev solves whole vectors at once
+	ev        AllEvaluator
 	gamma     float64
 	baseCosts []float64
 	baseUtils []float64
-
-	mu sync.Mutex
-	// vectors caches one whole-vector metrics slice per visited share
-	// vector; guarded by mu. Slices are read-only once stored.
-	vectors map[string][]cloud.Metrics
 }
 
 // NewWelfareEvaluator solves the no-sharing baselines once and returns an
 // evaluator for the given utility exponent.
-func NewWelfareEvaluator(fed cloud.Federation, ev Evaluator, gamma float64) (*WelfareEvaluator, error) {
+func NewWelfareEvaluator(fed cloud.Federation, ev AllEvaluator, gamma float64) (*WelfareEvaluator, error) {
 	if err := fed.Validate(); err != nil {
 		return nil, fmt.Errorf("market: %w", err)
 	}
 	if !(gamma >= 0 && gamma <= 1) { // negated range: rejects NaN too
 		return nil, ErrBadGamma
 	}
-	we := &WelfareEvaluator{
-		fed:     fed,
-		ev:      ev,
-		gamma:   gamma,
-		vectors: make(map[string][]cloud.Metrics),
-	}
-	we.all, _ = ev.(AllEvaluator)
+	we := &WelfareEvaluator{fed: fed, ev: ev, gamma: gamma}
 	var err error
 	if we.baseCosts, we.baseUtils, err = baselineTerms(fed, nil); err != nil {
 		return nil, err
@@ -57,40 +46,16 @@ func NewWelfareEvaluator(fed cloud.Federation, ev Evaluator, gamma float64) (*We
 	return we, nil
 }
 
-// metricsFor returns every SC's metrics under the sharing vector, solving
-// each distinct vector once across all prices, alphas, and callers. The
-// AllEvaluator fast path turns the K per-target probes into a single
-// whole-vector solve.
+// metricsFor returns every SC's metrics under the sharing vector, read
+// through the evaluator in one whole-vector call.
 func (we *WelfareEvaluator) metricsFor(shares []int) ([]cloud.Metrics, error) {
-	key := shareKey(shares)
-	we.mu.Lock()
-	ms, ok := we.vectors[key]
-	we.mu.Unlock()
-	if ok {
-		return ms, nil
+	ms, err := we.ev.EvaluateAll(shares)
+	if err != nil {
+		return nil, fmt.Errorf("market: evaluate %v: %w", shares, err)
 	}
-	if we.all != nil {
-		all, err := we.all.EvaluateAll(shares)
-		if err != nil {
-			return nil, fmt.Errorf("market: evaluate %v: %w", shares, err)
-		}
-		if len(all) != len(we.fed.SCs) {
-			return nil, fmt.Errorf("market: evaluate %v: %d metrics for %d SCs", shares, len(all), len(we.fed.SCs))
-		}
-		ms = all
-	} else {
-		ms = make([]cloud.Metrics, len(we.fed.SCs))
-		for i := range we.fed.SCs {
-			m, err := we.ev.Evaluate(shares, i)
-			if err != nil {
-				return nil, fmt.Errorf("market: evaluate SC %d: %w", i, err)
-			}
-			ms[i] = m
-		}
+	if len(ms) != len(we.fed.SCs) {
+		return nil, fmt.Errorf("market: evaluate %v: %d metrics for %d SCs", shares, len(ms), len(we.fed.SCs))
 	}
-	we.mu.Lock()
-	we.vectors[key] = ms
-	we.mu.Unlock()
 	return ms, nil
 }
 
@@ -100,8 +65,8 @@ const primeCap = 1024
 
 // Prime solves the whole-vector metrics for every sharing vector in the
 // maxShares box on up to workers goroutines, the caller's among them (see
-// claim.Run), populating the caches the ...At methods (and, through the
-// shared evaluator, the games) read.
+// claim.Run), populating the evaluator's cache, which the ...At methods
+// and, in core.Framework, the games read.
 //
 // It is the batch sweep driver's speculative pre-enumeration: metrics are
 // price-independent, so one parallel pass over the box serves every (price,
@@ -116,21 +81,16 @@ const primeCap = 1024
 // are available; evaluation errors are skipped, left for the lazy path to
 // surface if a search visits the offending vector. Once ctx is done no
 // further vector is solved: Prime returns as soon as the solves already in
-// flight finish. A nil maxShares means each SC's full VM count.
+// flight finish. A nil maxShares means each SC's full VM count; an
+// invalid box (see strategyCaps) primes nothing.
 func (we *WelfareEvaluator) Prime(ctx context.Context, maxShares []int, workers int) {
-	k := len(we.fed.SCs)
-	if maxShares == nil {
-		maxShares = make([]int, k)
-		for i, sc := range we.fed.SCs {
-			maxShares[i] = sc.VMs
-		}
-	}
-	if len(maxShares) != k {
+	maxShares, err := strategyCaps(we.fed, maxShares)
+	if err != nil {
 		return
 	}
 	space := 1
-	for i := 0; i < k; i++ {
-		space *= maxShares[i] + 1
+	for _, m := range maxShares {
+		space *= m + 1
 		if space > primeCap {
 			return
 		}
@@ -251,11 +211,9 @@ func (we *WelfareEvaluator) MaximizeWelfare(alpha float64, maxShares []int, star
 // first price only the price-dependent cost arithmetic is recomputed.
 func (we *WelfareEvaluator) MaximizeWelfareAt(price, alpha float64, maxShares []int, starts [][]int) ([]int, float64, error) {
 	k := len(we.fed.SCs)
-	if maxShares == nil {
-		maxShares = make([]int, k)
-		for i, sc := range we.fed.SCs {
-			maxShares[i] = sc.VMs
-		}
+	maxShares, err := strategyCaps(we.fed, maxShares)
+	if err != nil {
+		return nil, 0, err
 	}
 	if len(starts) == 0 {
 		mid := make([]int, k)

@@ -9,7 +9,8 @@ import (
 )
 
 // countingEvaluator is a per-target inner evaluator that counts real solves,
-// so the tests can tell cache answers from recomputation.
+// so the tests can tell cache answers from recomputation. Wrapped in
+// allTargets, one whole-vector solve counts one solve per SC.
 type countingEvaluator struct {
 	solves int
 }
@@ -27,7 +28,7 @@ func (c *countingEvaluator) Evaluate(shares []int, target int) (cloud.Metrics, e
 // solve.
 func TestCacheDumpRoundTrip(t *testing.T) {
 	warmInner := &countingEvaluator{}
-	warm := Memoize(warmInner)
+	warm := Memoize(allTargets{warmInner})
 	for _, shares := range [][]int{{1, 2}, {3, 4}, {0, 0}} {
 		for target := 0; target < 2; target++ {
 			if _, err := warm.Evaluate(shares, target); err != nil {
@@ -39,18 +40,18 @@ func TestCacheDumpRoundTrip(t *testing.T) {
 	if dump.Version != CacheDumpVersion {
 		t.Fatalf("dump version = %d", dump.Version)
 	}
-	if len(dump.Targets) != 6 || len(dump.Vectors) != 0 {
-		t.Fatalf("dump shape = %d targets, %d vectors", len(dump.Targets), len(dump.Vectors))
+	if len(dump.Vectors) != 3 {
+		t.Fatalf("dump holds %d vectors, want 3", len(dump.Vectors))
 	}
 
 	coldInner := &countingEvaluator{}
-	cold := Memoize(coldInner)
+	cold := Memoize(allTargets{coldInner})
 	n, err := cold.(CacheSnapshotter).ImportCache(dump)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 6 {
-		t.Fatalf("adopted %d entries, want 6", n)
+	if n != 3 {
+		t.Fatalf("adopted %d entries, want 3", n)
 	}
 	for _, shares := range [][]int{{1, 2}, {3, 4}, {0, 0}} {
 		for target := 0; target < 2; target++ {
@@ -81,22 +82,20 @@ func TestCacheDumpRoundTrip(t *testing.T) {
 // TestCacheDumpImportGuards: version mismatches fail, malformed entries are
 // skipped, and imports never overwrite live entries.
 func TestCacheDumpImportGuards(t *testing.T) {
-	ev := Memoize(&countingEvaluator{}).(CacheSnapshotter)
+	ev := Memoize(allTargets{&countingEvaluator{}}).(CacheSnapshotter)
 	if _, err := ev.ImportCache(CacheDump{Version: CacheDumpVersion + 1}); err == nil {
 		t.Fatal("version mismatch imported")
 	}
 
 	n, err := ev.ImportCache(CacheDump{
 		Version: CacheDumpVersion,
-		Targets: []TargetEntry{
-			{Key: "", Metrics: cloud.Metrics{}},                          // empty key
-			{Key: "1,0", Metrics: cloud.Metrics{PublicRate: math.NaN()}}, // poisoned
-			{Key: "2,0", Metrics: cloud.Metrics{PublicRate: math.Inf(1)}},
-			{Key: "3,0", Metrics: cloud.Metrics{PublicRate: 7}}, // the one good entry
-		},
 		Vectors: []VectorEntry{
-			{Key: "4,", Metrics: nil}, // empty vector
-			{Key: "5,", Metrics: []cloud.Metrics{{Utilization: math.NaN()}}},
+			{Key: "", Metrics: []cloud.Metrics{{}}},                         // empty key
+			{Key: "1,", Metrics: []cloud.Metrics{{PublicRate: math.NaN()}}}, // poisoned
+			{Key: "2,", Metrics: []cloud.Metrics{{PublicRate: math.Inf(1)}}},
+			{Key: "3,", Metrics: []cloud.Metrics{{PublicRate: 7}}}, // the one good entry
+			{Key: "4,", Metrics: nil},                              // empty vector
+			{Key: "5,6,", Metrics: []cloud.Metrics{{}, {Utilization: math.NaN()}}},
 		},
 	})
 	if err != nil {
@@ -107,14 +106,14 @@ func TestCacheDumpImportGuards(t *testing.T) {
 	}
 
 	// A live entry must survive an import that carries the same key.
-	live := Memoize(&countingEvaluator{})
+	live := Memoize(allTargets{&countingEvaluator{}})
 	if _, err := live.Evaluate([]int{9}, 0); err != nil {
 		t.Fatal(err)
 	}
-	key := live.(CacheSnapshotter).ExportCache().Targets[0].Key
+	key := live.(CacheSnapshotter).ExportCache().Vectors[0].Key
 	n, err = live.(CacheSnapshotter).ImportCache(CacheDump{
 		Version: CacheDumpVersion,
-		Targets: []TargetEntry{{Key: key, Metrics: cloud.Metrics{PublicRate: -999}}},
+		Vectors: []VectorEntry{{Key: key, Metrics: []cloud.Metrics{{PublicRate: -999}}}},
 	})
 	if err != nil || n != 0 {
 		t.Fatalf("import overwrote a live entry (adopted %d, err %v)", n, err)

@@ -81,19 +81,14 @@ func TestRunMultiStartAllDivergeReturnsPartial(t *testing.T) {
 	}
 }
 
-// TestMemoizeKeepsWholeVectorPath checks that Memoize preserves the
-// AllEvaluator interface of its delegate — and only then — and that the
-// whole-vector entry is solved once across EvaluateAll and Evaluate.
+// TestMemoizeKeepsWholeVectorPath checks that the whole-vector entry is
+// solved once across EvaluateAll and Evaluate.
 func TestMemoizeKeepsWholeVectorPath(t *testing.T) {
 	fed := testFederation()
 	inner := &countingAllEvaluator{fed: fed}
 	ev := Memoize(inner)
-	all, ok := ev.(AllEvaluator)
-	if !ok {
-		t.Fatal("Memoize dropped the delegate's whole-vector path")
-	}
 	for round := 0; round < 3; round++ {
-		ms, err := all.EvaluateAll([]int{1, 2, 3})
+		ms, err := ev.EvaluateAll([]int{1, 2, 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,13 +101,6 @@ func TestMemoizeKeepsWholeVectorPath(t *testing.T) {
 	}
 	if got := inner.solves.Load(); got != 1 {
 		t.Errorf("underlying evaluator solved %d times, want 1", got)
-	}
-	// A per-target delegate must keep the per-target shape.
-	plain := Memoize(EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
-		return cloud.Metrics{}, nil
-	}))
-	if _, ok := plain.(AllEvaluator); ok {
-		t.Error("Memoize invented a whole-vector path for a per-target delegate")
 	}
 }
 
@@ -174,9 +162,9 @@ func TestFillOutcomeRejectsShortMetrics(t *testing.T) {
 func TestParticipationBaselineConcurrent(t *testing.T) {
 	fed := testFederation()
 	ev := WithParticipation(fed, func(sub cloud.Federation) Evaluator {
-		return EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
+		return allTargets{EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
 			return cloud.Metrics{Utilization: float64(len(shares))}, nil
-		})
+		})}
 	})
 
 	const goroutines = 32
@@ -226,7 +214,7 @@ func TestParticipationBaselineConcurrent(t *testing.T) {
 func TestPrimePopulatesVectorCache(t *testing.T) {
 	fed := testFederation()
 	inner := &countingAllEvaluator{fed: fed}
-	we, err := NewWelfareEvaluator(fed, inner, 0.5)
+	we, err := NewWelfareEvaluator(fed, Memoize(inner), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +257,7 @@ func TestPrimePopulatesVectorCache(t *testing.T) {
 
 	// Oversized boxes are refused outright (16^3 > primeCap)...
 	big := &countingAllEvaluator{fed: fed}
-	web, err := NewWelfareEvaluator(fed, big, 0.5)
+	web, err := NewWelfareEvaluator(fed, Memoize(big), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

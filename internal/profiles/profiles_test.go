@@ -85,7 +85,7 @@ func TestNegotiatePerProfileEquilibria(t *testing.T) {
 	rep, outs, err := set.Negotiate(func(p Profile) *market.Game {
 		return &market.Game{
 			Federation: p.Federation,
-			Evaluator:  market.Memoize(market.EvaluatorFunc(fluid.NewEvaluator(p.Federation).Evaluate)),
+			Evaluator:  market.Memoize(fluid.NewEvaluator(p.Federation)),
 			Gamma:      market.UF0,
 		}
 	})

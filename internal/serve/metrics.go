@@ -72,17 +72,12 @@ type solverCounts struct {
 }
 
 // cacheStatsReport aggregates market.CacheStats across the cached
-// frameworks. WholeVectorSolves counts cache misses answered by one
-// whole-vector model run (AllEvaluator.EvaluateAll — since PR 5 the approx
-// model takes this path too); PerTargetSolves counts misses that ran the
-// model for a single (shares, target) pair.
+// frameworks. Every miss is one whole-vector model run.
 type cacheStatsReport struct {
-	Hits              uint64  `json:"hits"`
-	Misses            uint64  `json:"misses"`
-	HitRatio          float64 `json:"hitRatio"`
-	WholeVectorSolves uint64  `json:"wholeVectorSolves"`
-	PerTargetSolves   uint64  `json:"perTargetSolves"`
-	Frameworks        int     `json:"frameworks"`
+	Hits       uint64  `json:"hits"`
+	Misses     uint64  `json:"misses"`
+	HitRatio   float64 `json:"hitRatio"`
+	Frameworks int     `json:"frameworks"`
 }
 
 // pruningReport is the adaptive-truncation section of /metrics, aggregated
@@ -129,12 +124,10 @@ func (s *Server) snapshot(uptimeSeconds float64) metricsSnapshot {
 			DispatchedSweeps: s.metrics.dispatched.Load(),
 		},
 		Cache: cacheStatsReport{
-			Hits:              stats.Hits,
-			Misses:            stats.Misses,
-			HitRatio:          stats.HitRatio(),
-			WholeVectorSolves: stats.AllSolves,
-			PerTargetSolves:   stats.TargetSolves,
-			Frameworks:        n,
+			Hits:       stats.Hits,
+			Misses:     stats.Misses,
+			HitRatio:   stats.HitRatio(),
+			Frameworks: n,
 		},
 		Pruning: pruningReport{
 			TruncatedMass:   prune.TotalMass,

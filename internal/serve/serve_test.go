@@ -275,14 +275,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if snap.Cache.Frameworks != 1 || snap.Cache.Hits+snap.Cache.Misses == 0 {
 		t.Fatalf("cache stats = %+v", snap.Cache)
 	}
-	// The default model is approx, whose evaluator is whole-vector: every
-	// cache miss must be answered by one SolveAll, never a per-target solve.
-	if snap.Cache.WholeVectorSolves == 0 || snap.Cache.PerTargetSolves != 0 {
-		t.Fatalf("solve-path split = %+v (approx must take the whole-vector path)", snap.Cache)
-	}
-	if snap.Cache.WholeVectorSolves+snap.Cache.PerTargetSolves != snap.Cache.Misses {
-		t.Fatalf("solve split does not sum to misses: %+v", snap.Cache)
-	}
 	// The pruning account must be internally consistent: a nonzero discard
 	// implies truncated summaries and a nonzero worst case, and the default
 	// TruncEps budget can never discard whole units of probability mass.

@@ -92,8 +92,6 @@ func (c *Cache) Stats() (market.CacheStats, int) {
 			st := rep.Stats()
 			total.Hits += st.Hits
 			total.Misses += st.Misses
-			total.AllSolves += st.AllSolves
-			total.TargetSolves += st.TargetSolves
 		}
 	}
 	return total, len(c.frameworks)

@@ -49,6 +49,13 @@ go test -count=1 -run 'TestSweepBoxBitIdentity|TestSweepBoxRelaxedAccuracy|TestQ
     ./internal/approx/ ./internal/markov/ ./internal/sparse/
 go test -race -count=5 -timeout 30m -run 'TestGOMAXPROCSBitIdentity' ./internal/approx/
 
+# Golden figures: Fig. 7a-7d on the approximate model (MaxShare 6) and
+# Fig. 8b regenerate and match results/ cell by cell, integers exactly and
+# the other cells within 1e-6 relative. The race suite below skips this
+# test, so it runs here uninstrumented (about 30 s).
+echo "==> figures regenerate"
+go test -count=1 -run 'TestFiguresMatchResults' ./cmd/scshare/
+
 # perfbench is a module of its own, so ./... above does not reach it. Its
 # harness tests (tail percentile, calibration, fail_ratio counting, and the
 # calibration kernel's no-import/no-alloc guards) run offline.
