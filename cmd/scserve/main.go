@@ -17,11 +17,11 @@
 //
 // With -max-inflight the admission layer bounds concurrent solves and
 // sheds the excess with 429 + Retry-After priced from observed solve
-// latency. With -snapshot the server restores the warm-cache spine from
-// the given file on boot and saves it back on graceful shutdown, so a
-// restarted replica answers its first repeat queries from cache. With
-// -dispatch, POST /v1/sweep fans its grid across a scdispatch fleet
-// instead of the local worker pool (docs/OPERATIONS.md, "Fleet
+// latency. With -snapshot the server restores its frameworks' solved
+// vectors from the given file on boot and saves them back on graceful
+// shutdown, so a restarted replica answers its first repeat queries from
+// cache. With -dispatch, POST /v1/sweep fans its grid across a scdispatch
+// fleet instead of the local worker pool (docs/OPERATIONS.md, "Fleet
 // quickstart"); advise and track always solve locally.
 //
 // The server drains gracefully on SIGINT/SIGTERM: the listener closes, the

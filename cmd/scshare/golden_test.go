@@ -10,21 +10,24 @@ import (
 	"testing"
 )
 
-// TestFiguresMatchResults regenerates the market figures committed under
-// results/ — Fig. 7a–7d on the approximate model with MaxShare 6, as
-// `scshare -fig fig7a` prints them, and Fig. 8b — and compares every cell
-// of every table. Integer cells (the x values of Fig. 8b, shared VM
-// counts, rounds, model evaluations) must match exactly; the other cells
-// must agree within 1e-6 relative. The five figures take about 30 s, so
-// the test is skipped under -short and under the race detector.
+// TestFiguresMatchResults regenerates figures committed under results/ —
+// Fig. 6a/6b (exact against approx, both in one file), Fig. 7a–7d on the
+// approximate model with MaxShare 6, as `scshare -fig fig7a` prints them,
+// and Fig. 8b — and compares every cell of every table. A file holds one
+// block per figure its id generates, separated by blank lines. Integer
+// cells (the x values of Fig. 8b, shared VM counts, rounds, model
+// evaluations) must match exactly; the other cells must agree within 1e-6
+// relative. The seven figures take about 45 s, so the test is skipped
+// under -short and under the race detector.
 func TestFiguresMatchResults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerating the figures takes about 30 s")
+		t.Skip("regenerating the figures takes about 45 s")
 	}
 	if raceEnabled() {
 		t.Skip("regenerating the figures under the race detector takes minutes")
 	}
 	for _, tc := range []struct{ id, file string }{
+		{"fig6a", "fig6a.txt"},
 		{"fig7a", "fig7a_approx.txt"},
 		{"fig7b", "fig7b_approx.txt"},
 		{"fig7c", "fig7c_approx.txt"},
@@ -40,10 +43,13 @@ func TestFiguresMatchResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(figs) != 1 {
-				t.Fatalf("%d figures, want 1", len(figs))
+			blocks := strings.Split(strings.TrimRight(string(want), "\n"), "\n\n")
+			if len(figs) != len(blocks) {
+				t.Fatalf("%d figures, want the file's %d", len(figs), len(blocks))
 			}
-			compareTables(t, figs[0].String(), string(want))
+			for i, fig := range figs {
+				compareTables(t, fig.String(), blocks[i])
+			}
 		})
 	}
 }

@@ -1,6 +1,7 @@
 // Package claim spreads independent work items over the calling goroutine
-// and a bounded number of helpers. The market game's best responses and
-// multi-starts, WelfareEvaluator.Prime's speculative solves, and an approx
+// and a bounded number of helpers. A sweep's price points, the market
+// game's best responses and multi-starts, the memo's batch of uncached
+// probes, WelfareEvaluator.Prime's speculative solves, and an approx
 // solve's transient stepping blocks and readouts all run through Run.
 package claim
 

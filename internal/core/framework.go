@@ -63,10 +63,6 @@ type Framework struct {
 	// the participation evaluator: the games read them, nothing writes
 	// them.
 	bases []cloud.Metrics
-	// warm is the framework-wide approx warm-start cache (shared by every
-	// sub-federation evaluator); kept on the struct so Snapshot can export
-	// it and Restore can seed it.
-	warm *approx.WarmCache
 	// prune is the framework-wide truncation account (shared the same way):
 	// every approx solve run on behalf of this framework records the mass
 	// its adaptive truncation discarded, so callers can ask whether the
@@ -118,10 +114,10 @@ func New(cfg Config) (*Framework, error) {
 		// ApproxEvaluator ownership rule sharing warmth across them must be
 		// explicit — the warmKey's chain length keeps sub-federations of
 		// different sizes apart, and a mismatched seed only costs iterations,
-		// never accuracy.
+		// never accuracy. It lives and dies with this process: Snapshot
+		// exports the memo's solved vectors, not these start vectors.
 		opts.Approx.Warm = approx.NewWarmCache()
 	}
-	f.warm = opts.Approx.Warm
 	if opts.Approx.PruneStats == nil {
 		// One truncation account for the whole framework, for the same
 		// reason as the warm cache: sub-federation evaluators come and go,

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 
+	"scshare/internal/claim"
 	"scshare/internal/market"
 )
 
@@ -60,7 +61,7 @@ func (f *Framework) Sweep(ratios, alphas []float64, initials [][]int, opts Sweep
 }
 
 // SweepContext is Sweep under a context. Every grid point's game observes
-// the context (see market.Game.RunContext), undispatched points are never
+// the context (see market.Game.RunContext), unclaimed points are never
 // started once it is canceled, and a point blocked on its warm-start
 // neighbor is released immediately. A canceled sweep returns nil points and
 // an error wrapping ctx.Err(); points already streamed through
@@ -208,44 +209,17 @@ func (f *Framework) SweepContext(ctx context.Context, ratios, alphas []float64, 
 		// observes ctx, so a canceled sweep stops enumerating at once.
 		we.Prime(ctx, f.cfg.MaxShares, workers)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				break
-			}
+	// Workers claim points in ascending grid order, so with WarmStart every
+	// point's predecessor is already done or in flight — the chain drains
+	// front to back and cannot deadlock. Once ctx is done the remaining
+	// claims return at once (a skipped point leaves its gameDone open: a
+	// successor waiting on it selects on ctx.Done() too); in-flight points
+	// unwind through their games' own context checks.
+	claim.Run(n, workers, func(_, i int) {
+		if ctx.Err() == nil {
 			run(i)
 		}
-	} else {
-		// Points are dispatched in grid order, so with WarmStart every
-		// point's predecessor is already done or in flight — the chain
-		// drains front to back and cannot deadlock. Cancellation stops the
-		// dispatch; in-flight points unwind through their games' own
-		// context checks.
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					run(i)
-				}
-			}()
-		}
-	dispatch:
-		for i := 0; i < n; i++ {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(next)
-		wg.Wait()
-	}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: sweep canceled: %w", err)
 	}

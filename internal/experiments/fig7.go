@@ -46,15 +46,6 @@ type Fig7Options struct {
 	Model core.ModelKind
 	// Approx tunes the approximate model when it is selected.
 	Approx approx.Config
-	// Workers bounds the batch sweep driver's grid-level parallelism
-	// (core.SweepOptions.Workers): 0 means GOMAXPROCS, 1 the serial
-	// schedule. Output merges in ratio order either way.
-	Workers int
-	// ColdStart disables warm-starting each price point's game from its
-	// grid neighbor's equilibrium (core.SweepOptions.WarmStart); the
-	// default chains equilibria along the grid like the paper's
-	// Tatonnement continuation.
-	ColdStart bool
 }
 
 func (o *Fig7Options) defaults() {
@@ -119,10 +110,10 @@ func Fig7(opts Fig7Options) (Figure, error) {
 		return Figure{}, fmt.Errorf("fig7: %w", err)
 	}
 	alphas := []float64{market.AlphaUtilitarian, market.AlphaProportional, market.AlphaMaxMin}
-	pts, err := f.Sweep(opts.Ratios, alphas, nil, core.SweepOptions{
-		Workers:   opts.Workers,
-		WarmStart: !opts.ColdStart,
-	})
+	// The sweep runs at GOMAXPROCS, merging in ratio order, and chains each
+	// point's game from its grid neighbor's equilibrium like the paper's
+	// Tatonnement continuation.
+	pts, err := f.Sweep(opts.Ratios, alphas, nil, core.SweepOptions{WarmStart: true})
 	if err != nil {
 		return Figure{}, fmt.Errorf("fig7: %w", err)
 	}

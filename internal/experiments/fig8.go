@@ -98,10 +98,6 @@ type Fig8bOptions struct {
 	// TabuDistances yields one series per search distance.
 	TabuDistances []int
 	Gamma         float64
-	// Workers bounds each game's best-response worker pool (market.Game
-	// Workers): 0 keeps the serial rounds, so recorded rounds/evals match
-	// the paper's sequential Algorithm 1 by default.
-	Workers int
 }
 
 func (o *Fig8bOptions) defaults() {
@@ -154,7 +150,6 @@ func Fig8b(opts Fig8bOptions) (Figure, error) {
 				Gamma:        opts.Gamma,
 				TabuDistance: dist,
 				MaxRounds:    100,
-				Workers:      opts.Workers,
 			}
 			out, err := g.Run(nil)
 			if err != nil {

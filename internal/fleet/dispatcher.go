@@ -33,10 +33,10 @@ type Options struct {
 	// MaxAttempts is how many times one job may be (re)tried before its
 	// whole sweep fails (default 5).
 	MaxAttempts int
-	// SnapshotPath optionally names a warm-cache snapshot file (the
+	// SnapshotPath optionally names a snapshot file of solved vectors (the
 	// spec.Cache envelope, as written by scserve -snapshot); when set and
 	// readable, workers are offered it at registration and fetch it from
-	// GET /fleet/v1/snapshot to boot warm.
+	// GET /fleet/v1/snapshot to boot with those vectors memoized.
 	SnapshotPath string
 	// Logf receives operational log lines (default: drop them).
 	Logf func(format string, args ...any)

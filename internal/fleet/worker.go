@@ -26,8 +26,8 @@ type WorkerOptions struct {
 	MaxFrameworks int
 	// Poll overrides the dispatcher-advertised idle poll interval.
 	Poll time.Duration
-	// DisableSnapshot skips booting from the dispatcher-served warm-cache
-	// snapshot even when one is offered.
+	// DisableSnapshot skips booting from the dispatcher-served snapshot of
+	// solved vectors even when one is offered.
 	DisableSnapshot bool
 	// HTTPClient overrides the protocol client's http.Client.
 	HTTPClient *http.Client
@@ -138,8 +138,9 @@ func (w *Worker) register(ctx context.Context) (RegisterResponse, error) {
 	}
 }
 
-// bootFromSnapshot warms the framework cache from the dispatcher-served
-// snapshot. Failure is logged and ignored — a snapshot is an optimization.
+// bootFromSnapshot merges the dispatcher-served snapshot's solved vectors
+// into the framework cache's memos. Failure is logged and ignored — a
+// snapshot is an optimization.
 func (w *Worker) bootFromSnapshot(ctx context.Context) {
 	body, err := w.client.Snapshot(ctx)
 	if err != nil {
@@ -152,7 +153,7 @@ func (w *Worker) bootFromSnapshot(ctx context.Context) {
 		w.logf("fleet: snapshot restore failed: %v", err)
 		return
 	}
-	w.logf("fleet: adopted %d warm cache entries from dispatcher snapshot", n)
+	w.logf("fleet: adopted %d solved vectors from dispatcher snapshot", n)
 }
 
 // runJob solves one leased job: heartbeat in the background, stream each

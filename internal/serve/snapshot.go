@@ -1,33 +1,22 @@
 package serve
 
-import (
-	"io"
+import "io"
 
-	"scshare/internal/spec"
-)
-
-// ServerSnapshotVersion is the schema version of the serve-level snapshot
-// envelope. The envelope itself lives in internal/spec (it is shared with
-// the fleet dispatcher and workers, which boot from the same format); the
-// per-layer cache dumps inside it carry their own versions
-// (core.SnapshotVersion and below), all checked independently on restore.
-const ServerSnapshotVersion = spec.SnapshotVersion
-
-// WriteSnapshot serializes every live framework's warm-cache state to w as
-// JSON. Solves may keep running concurrently — both cache layers export
-// under their own locks — so this is safe to call from a drain path while
-// streams finish.
+// WriteSnapshot serializes every live framework's solved vectors to w as
+// JSON, in the envelope internal/spec defines for scserve and the fleet.
+// Solves may keep running concurrently — each memo exports under its own
+// lock — so this is safe to call from a drain path while streams finish.
 func (s *Server) WriteSnapshot(w io.Writer) error {
 	return s.cache.WriteSnapshot(w)
 }
 
 // ReadSnapshot merges a snapshot written by WriteSnapshot into this server:
 // each entry's spec is re-normalized and materialized through the regular
-// framework cache (building frameworks as needed), then its cache state is
-// merged in. Individual entries that no longer normalize or restore are
-// skipped — a snapshot is an optimization, not a source of truth; only a
-// malformed envelope or a version mismatch is an error. It returns the
-// number of cache entries adopted across all frameworks.
+// framework cache (building frameworks as needed), then its solved vectors
+// are merged into that framework's memo. Individual entries that no longer
+// normalize or restore are skipped — a snapshot is an optimization, not a
+// source of truth; only a malformed envelope or a version mismatch is an
+// error. It returns the number of vectors adopted across all frameworks.
 func (s *Server) ReadSnapshot(r io.Reader) (int, error) {
 	return s.cache.ReadSnapshot(r)
 }
@@ -40,8 +29,8 @@ func (s *Server) SaveSnapshotFile(path string) error {
 }
 
 // LoadSnapshotFile restores a snapshot from path, returning the number of
-// cache entries adopted. A missing file is not an error — it is the normal
-// first boot — and reports zero adoptions.
+// vectors adopted. A missing file is not an error — it is the normal first
+// boot — and reports zero adoptions.
 func (s *Server) LoadSnapshotFile(path string) (int, error) {
 	return s.cache.LoadSnapshotFile(path)
 }

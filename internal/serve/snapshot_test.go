@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// warmSpec is a small approx-model federation: it exercises both snapshot
-// layers (the memoized evaluation cache and the approximate model's
-// warm-start priors), unlike the fluid testSpec which has no warm cache.
+// warmSpec is a small approx-model federation, the model the served
+// snapshots matter most for: its solved vectors cost real solves to
+// rebuild, unlike the fluid testSpec's.
 func warmSpec() federationSpec {
 	return federationSpec{
 		SCs: []scSpec{

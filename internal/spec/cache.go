@@ -25,7 +25,7 @@ const DefaultMaxFrameworks = 32
 // instances keyed by the canonical normalized-spec JSON (Federation.Key).
 // What is shared across requests, and why that is safe: frameworks — and
 // with them the memoized evaluator, its evaluation cache, and the
-// approximate model's warm-start caches — are keyed by the full
+// approximate model's in-process warm-start cache — are keyed by the full
 // price-independent federation configuration. Performance metrics do not
 // depend on prices (DESIGN.md §10), so two requests that differ only in
 // the federation price C^G legitimately share every cached solve; requests
@@ -116,33 +116,36 @@ func (c *Cache) PruneStats() approx.PruneStats {
 }
 
 // SnapshotVersion is the schema version of the cache-level snapshot
-// envelope. The per-layer cache dumps inside it carry their own versions
-// (core.SnapshotVersion and below), all checked independently on restore.
+// envelope. The framework state and the memo dump inside it carry their
+// own versions (core.SnapshotVersion, market.CacheDumpVersion), all checked
+// independently on restore.
 const SnapshotVersion = 1
 
-// envelope is the on-disk warm state of a whole framework cache: one
-// entry per live framework, in FIFO order, each pairing the framework's
-// canonical spec (the cache key, which IS the normalized spec's JSON)
-// with its exported cache spine. Restoring replays the specs through the
-// normal framework constructor and merges each state in, so a restored
-// cache is indistinguishable from one that solved everything itself.
+// envelope is the on-disk state of a whole framework cache: one entry per
+// live framework, in FIFO order, each pairing the framework's canonical
+// spec (the cache key, which IS the normalized spec's JSON) with its
+// solved vectors. Restoring replays the specs through the normal framework
+// constructor and merges each memo in, so a restored cache answers every
+// saved vector as a hit. Keys the decoder does not know are ignored:
+// files written by older builds, whose states also carry a "warm" section
+// of approx start vectors, restore their vectors and drop that section.
 type envelope struct {
 	Version    int     `json:"version"`
 	Frameworks []entry `json:"frameworks"`
 }
 
 // entry is one framework's snapshot: Spec is the canonical normalized
-// Federation JSON (exactly the cache key), State the warm caches exported
-// from it.
+// Federation JSON (exactly the cache key), State the solved vectors
+// exported from it.
 type entry struct {
 	Spec  json.RawMessage `json:"spec"`
 	State core.Snapshot   `json:"state"`
 }
 
-// WriteSnapshot serializes every live framework's warm-cache state to w as
-// JSON. Solves may keep running concurrently — both cache layers export
-// under their own locks — so this is safe to call from a drain path while
-// streams finish, or from a dispatcher handler while workers solve.
+// WriteSnapshot serializes every live framework's solved vectors to w as
+// JSON. Solves may keep running concurrently — each memo exports under its
+// own lock — so this is safe to call from a drain path while streams
+// finish, or from a dispatcher handler while workers solve.
 func (c *Cache) WriteSnapshot(w io.Writer) error {
 	c.mu.Lock()
 	snap := envelope{Version: SnapshotVersion}
@@ -163,12 +166,13 @@ func (c *Cache) WriteSnapshot(w io.Writer) error {
 
 // ReadSnapshot merges a snapshot written by WriteSnapshot into this cache:
 // each entry's spec is re-normalized and materialized through the regular
-// framework cache (building frameworks as needed), then its cache state is
-// merged in. Individual entries that no longer normalize or restore —
-// e.g. written by a build with different validation rules — are skipped,
-// because a snapshot is an optimization, not a source of truth; only a
-// malformed envelope or a version mismatch is an error. It returns the
-// number of cache entries adopted across all frameworks.
+// framework cache (building frameworks as needed), then its solved vectors
+// are merged into that framework's memo. Individual entries that no
+// longer normalize or restore — e.g. written by a build with different
+// validation rules — are skipped, because a snapshot is an optimization,
+// not a source of truth; only a malformed envelope or a version mismatch
+// is an error. It returns the number of vectors adopted across all
+// frameworks.
 func (c *Cache) ReadSnapshot(r io.Reader) (int, error) {
 	var snap envelope
 	dec := json.NewDecoder(r)
@@ -219,7 +223,7 @@ func (c *Cache) SaveSnapshotFile(path string) error {
 }
 
 // LoadSnapshotFile restores a snapshot from path, returning the number of
-// cache entries adopted. A missing file is not an error — it is the normal
+// vectors adopted. A missing file is not an error — it is the normal
 // first boot — and reports zero adoptions.
 func (c *Cache) LoadSnapshotFile(path string) (int, error) {
 	f, err := os.Open(path)

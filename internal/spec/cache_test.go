@@ -202,3 +202,34 @@ func TestReadSnapshotIgnoresApproxWorkers(t *testing.T) {
 		t.Errorf("%d live frameworks, want 1", n)
 	}
 }
+
+// TestReadSnapshotIgnoresWarmSection: snapshots written while a framework's
+// state also carried the approximate model's warm-start vectors, under
+// "warm", must still restore their solved vectors. Only those count as
+// adopted: start vectors stay in the process that solved them.
+func TestReadSnapshotIgnoresWarmSection(t *testing.T) {
+	b, err := json.Marshal(envelope{
+		Version:    SnapshotVersion,
+		Frameworks: []entry{snapshotEntry(`{` + twoSCs + `}`)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm = `"warm":{"version":1,"entries":[{"k":2,"target":1,"sc":0,"states":3,"pi":[0.2,0.3,0.5]}]},`
+	withWarm := strings.Replace(string(b), `"state":{`, `"state":{`+warm, 1)
+	if withWarm == string(b) {
+		t.Fatalf("no state section in %s", b)
+	}
+	c := NewCache(0)
+	adopted, err := c.ReadSnapshot(strings.NewReader(withWarm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adopted != 1 {
+		t.Errorf("adopted %d entries, want the one vector", adopted)
+	}
+	sp := Federation{SCs: []SC{{VMs: 10, ArrivalRate: 7}, {VMs: 8, ArrivalRate: 5}}}
+	if !holdsVector(framework(t, c, normalized(t, sp))) {
+		t.Error("the entry's vector was not restored")
+	}
+}

@@ -7,8 +7,8 @@
 // (internal/fleet) speak this one spec dialect, so a request body accepted
 // by scserve can travel the fleet wire protocol verbatim and a worker's
 // framework cache keys match the front door's. The package also hosts the
-// spec-keyed framework Cache and the versioned warm-cache snapshot
-// envelope (DESIGN.md §14, §15) the two layers share.
+// spec-keyed framework Cache and the versioned snapshot envelope of solved
+// vectors (DESIGN.md §14, §15) the two layers share.
 package spec
 
 import (

@@ -49,10 +49,11 @@ go test -count=1 -run 'TestSweepBoxBitIdentity|TestSweepBoxRelaxedAccuracy|TestQ
     ./internal/approx/ ./internal/markov/ ./internal/sparse/
 go test -race -count=5 -timeout 30m -run 'TestGOMAXPROCSBitIdentity' ./internal/approx/
 
-# Golden figures: Fig. 7a-7d on the approximate model (MaxShare 6) and
-# Fig. 8b regenerate and match results/ cell by cell, integers exactly and
-# the other cells within 1e-6 relative. The race suite below skips this
-# test, so it runs here uninstrumented (about 30 s).
+# Golden figures: Fig. 6a/6b (exact against approx), Fig. 7a-7d on the
+# approximate model (MaxShare 6) and Fig. 8b regenerate and match results/
+# cell by cell, integers exactly and the other cells within 1e-6 relative.
+# The race suite below skips this test, so it runs here uninstrumented
+# (about 45 s).
 echo "==> figures regenerate"
 go test -count=1 -run 'TestFiguresMatchResults' ./cmd/scshare/
 
@@ -73,10 +74,11 @@ go run ./cmd/scvet ./...
 echo "==> scvet fixture self-test"
 go run ./cmd/scvet -fixtures
 
-# Warm-cache snapshot smoke: the serve-level round trip plus the real
-# drain/boot cycle through cmd/scserve -snapshot.
+# Snapshot smoke: the envelope's decode rules (version, invalid specs,
+# retired fields), the serve-level round trip, and the real drain/boot
+# cycle through cmd/scserve -snapshot.
 echo "==> snapshot round-trip smoke"
-go test -count=1 -run 'Snapshot' ./internal/serve/ ./cmd/scserve/
+go test -count=1 -run 'Snapshot' ./internal/spec/ ./internal/serve/ ./cmd/scserve/
 
 # Fleet smoke: a dispatcher with in-process workers (including a worker
 # killed mid-grid whose lease requeues) must merge a sweep bit-identically
